@@ -5,6 +5,7 @@ from .distributions import (
     GammaParams,
     NumericalDegeneracyError,
     SdSummary,
+    log_gamma,
     precision_moments,
     precision_pdf,
     sd_moments,
@@ -22,7 +23,6 @@ from .elicitation import (
     upper_bound_a,
 )
 from .optimize import OptimOptions, OptimResult, minimize_bounded
-from .special import QuadratureError, QuadratureResult, integrate, log_gamma
 from .validation import (
     CellResult,
     GridSpec,
@@ -44,14 +44,11 @@ __all__ = [
     "NumericalDegeneracyError",
     "OptimOptions",
     "OptimResult",
-    "QuadratureError",
-    "QuadratureResult",
     "ROUND_TRIP_TOL",
     "S",
     "S_hat",
     "SdSummary",
     "fit_prior",
-    "integrate",
     "log_gamma",
     "minimize_bounded",
     "objective",

@@ -15,12 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .special import log_gamma
-
 __all__ = [
     "GammaParams",
     "SdSummary",
     "NumericalDegeneracyError",
+    "log_gamma",
     "precision_pdf",
     "precision_moments",
     "sd_pdf",
@@ -33,6 +32,36 @@ _LOG_2 = math.log(2.0)
 class NumericalDegeneracyError(ArithmeticError):
     """A quantity that is positive in exact arithmetic lost its sign in
     double precision (typically the SD variance bracket at very large a)."""
+
+
+def log_gamma(x: float) -> float:
+    """Natural logarithm of the Gamma function for x > 0.
+
+    The platform's math.lgamma, restricted to the positive axis: it would
+    otherwise return log|Gamma(x)| for negative non-integers. Above about
+    2.56e305 the result exceeds the largest double and is +inf, as in IEEE
+    overflow, so densities at such shapes still evaluate to 0.
+    """
+    if not x > 0.0:
+        raise ValueError(f"log_gamma requires x > 0, got {x}")
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
+
+
+def _variance_bracket(a: float, s: float) -> float:
+    """1/(a - 1) - S(a), where S(a) = exp(2 (logGamma(a - 1/2) - logGamma(a))).
+
+    Positive for a > 1 in exact arithmetic; at large a cancellation can
+    lose its sign, which raises NumericalDegeneracyError.
+    """
+    bracket = 1.0 / (a - 1.0) - s
+    if bracket <= 0.0:
+        raise NumericalDegeneracyError(
+            f"SD variance bracket non-positive at a={a} (loss of precision)"
+        )
+    return bracket
 
 
 @dataclass(frozen=True)
@@ -119,10 +148,5 @@ def sd_moments(params: GammaParams) -> SdSummary:
         raise ValueError(f"SD moments undefined for a <= 1 (got a={a})")
     d = log_gamma(a - 0.5) - log_gamma(a)
     mu = math.sqrt(b) * math.exp(d)
-    var_bracket = 1.0 / (a - 1.0) - math.exp(2.0 * d)
-    if var_bracket <= 0.0:
-        # Positive in exact arithmetic; cancellation killed it.
-        raise NumericalDegeneracyError(
-            f"SD variance bracket non-positive at a={a} (loss of precision)"
-        )
+    var_bracket = _variance_bracket(a, math.exp(2.0 * d))
     return SdSummary(mu=mu, sigma=math.sqrt(b * var_bracket))

@@ -13,9 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import GammaParams, NumericalDegeneracyError, SdSummary, sd_moments
+from .distributions import (
+    GammaParams,
+    SdSummary,
+    _variance_bracket,
+    log_gamma,
+    sd_moments,
+)
 from .optimize import OptimOptions, minimize_bounded
-from .special import log_gamma
 
 __all__ = [
     "BRACKET_EPS",
@@ -70,12 +75,7 @@ def S_hat(a: float) -> float:
 
 
 def _residual_given_S(a: float, s: float, mu0: float, sigma0: float) -> float:
-    bracket = 1.0 / (a - 1.0) - s
-    if bracket <= 0.0:
-        raise NumericalDegeneracyError(
-            f"variance bracket non-positive at a={a} (loss of precision)"
-        )
-    return mu0 * mu0 / s - sigma0 * sigma0 / bracket
+    return mu0 * mu0 / s - sigma0 * sigma0 / _variance_bracket(a, s)
 
 
 def _validate_targets(mu0: float, sigma0: float) -> None:

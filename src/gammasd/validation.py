@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
 from .distributions import GammaParams, NumericalDegeneracyError, sd_moments
-from .elicitation import fit_prior
+from .elicitation import ROUND_TRIP_TOL, fit_prior
 from .optimize import OptimOptions
 
 __all__ = [
@@ -45,7 +45,9 @@ class GridSpec:
     Defaults reproduce the full published sweep: 1000 x 1000 cells, mu
     log-spaced over [1e-4, 1e4] and, for each mu, sigma log-spaced over
     [1e-4 * mu, 1e2 * mu], with a 1 % pass threshold. Reduced resolutions
-    are first-class for CI-scale runs.
+    are first-class for CI-scale runs. A cell passes only if its fit
+    converged, which already needs both errors below ROUND_TRIP_TOL, so a
+    threshold above ROUND_TRIP_TOL would be ignored and is rejected.
     """
 
     mu_points: int = 1000
@@ -64,8 +66,11 @@ class GridSpec:
             raise ValueError("need 0 < mu_lo < mu_hi")
         if not 0.0 < self.sigma_ratio_lo < self.sigma_ratio_hi:
             raise ValueError("need 0 < sigma_ratio_lo < sigma_ratio_hi")
-        if not self.pass_threshold > 0.0:
-            raise ValueError("pass_threshold must be > 0")
+        if not 0.0 < self.pass_threshold <= ROUND_TRIP_TOL:
+            raise ValueError(
+                f"pass_threshold must be in (0, {ROUND_TRIP_TOL:g}], "
+                f"got {self.pass_threshold}"
+            )
 
     def mu_values(self) -> list[float]:
         return _log_spaced(self.mu_lo, self.mu_hi, self.mu_points)

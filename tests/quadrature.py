@@ -1,7 +1,7 @@
-"""Self-contained special-function and quadrature kernels.
+"""Adaptive Simpson quadrature, kept as an independent test oracle.
 
-Everything here is a pure function of its arguments, so all of it is safe
-to call from any number of threads.
+It shares no code with the closed forms in gammasd, so the tests use it
+to check densities, moments and the worked example numerically.
 """
 
 from __future__ import annotations
@@ -14,43 +14,8 @@ from typing import Callable
 __all__ = [
     "QuadratureResult",
     "QuadratureError",
-    "log_gamma",
     "integrate",
 ]
-
-# Lanczos approximation, g = 7, 9 coefficients (Godfrey's set).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def log_gamma(x: float) -> float:
-    """Natural logarithm of the Gamma function for x > 0.
-
-    Lanczos approximation; relative error below 1e-12 over [0.5, 1e6].
-    Deterministic: the same input always yields the same double.
-    """
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # Reflection keeps the series argument away from the poles.
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from gammasd import (
     GammaParams,
     GridSpec,
     fit_prior,
-    integrate,
     log_gamma,
     precision_moments,
     precision_pdf,
@@ -26,6 +25,7 @@ from gammasd import (
     upper_bound_a,
     write_csv,
 )
+from quadrature import integrate
 
 mp.mp.dps = 30
 

@@ -162,6 +162,8 @@ class TestUsageErrors:
             ["inverse", "--mu", "1"],
             ["pdf", "--dist", "sd", "--a", "2", "--b", "2",
              "--from", "0", "--to", "1", "--points", "1"],
+            ["validate", "--mu-points", "1", "--sigma-points", "1",
+             "--threshold", "0.05"],
         ],
     )
     def test_exit_code_one(self, argv, capsys):

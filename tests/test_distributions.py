@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from gammasd import (
     GammaParams,
     SdSummary,
-    integrate,
     precision_moments,
     precision_pdf,
     sd_moments,
     sd_pdf,
 )
+from quadrature import integrate
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 

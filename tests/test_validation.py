@@ -57,6 +57,7 @@ class TestGridSpec:
             {"mu_lo": 10.0, "mu_hi": 1.0},
             {"sigma_ratio_lo": 2.0, "sigma_ratio_hi": 1.0},
             {"pass_threshold": 0.0},
+            {"pass_threshold": 0.05},
         ],
     )
     def test_rejects_invalid(self, overrides):
