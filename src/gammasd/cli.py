@@ -21,7 +21,7 @@ from typing import Sequence
 from .distributions import GammaParams, NumericalDegeneracyError, precision_pdf, sd_moments, sd_pdf
 from .elicitation import fit_prior
 from .optimize import OptimOptions
-from .validation import CUTOFF_MU, CUTOFF_RATIO, GridSpec, run_grid, summarize, write_csv
+from .validation import GridSpec, run_grid, summarize, write_csv
 
 __all__ = ["run", "main"]
 
@@ -91,9 +91,6 @@ def _build_parser() -> _Parser:
     val.add_argument("--mu-hi", type=_positive, default=1e4)
     val.add_argument("--ratio-lo", type=_positive, default=1e-4)
     val.add_argument("--ratio-hi", type=_positive, default=1e2)
-    val.add_argument("--threshold", type=_positive, default=1e-2)
-    val.add_argument("--x-tol", type=_positive, default=1e-10)
-    val.add_argument("--max-iter", type=int, default=500)
     val.add_argument("--workers", type=int, default=1)
     val.add_argument("--out", default=None, help="CSV destination file")
 
@@ -147,20 +144,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         mu_hi=args.mu_hi,
         sigma_ratio_lo=args.ratio_lo,
         sigma_ratio_hi=args.ratio_hi,
-        pass_threshold=args.threshold,
-        optim=OptimOptions(x_tol=args.x_tol, max_iter=args.max_iter),
     )
     results = run_grid(spec, workers=args.workers)
     if args.out is not None:
         write_csv(results, args.out)
     summary = summarize(results)
-
-    inside = [
-        c for c in results
-        if CUTOFF_MU[0] < c.mu < CUTOFF_MU[1]
-        and CUTOFF_RATIO[0] < c.sigma / c.mu < CUTOFF_RATIO[1]
-    ]
-    cutoff_ok = bool(inside) and all(c.passed for c in inside)
 
     print(f"cells {summary.n_cells}")
     print(f"passed {summary.n_passed}")
@@ -171,8 +159,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             "pass_rectangle "
             f"mu [{_fmt(lo_mu)}, {_fmt(hi_mu)}] ratio [{_fmt(lo_r)}, {_fmt(hi_r)}]"
         )
-    print(f"cutoff_region_pass {'true' if cutoff_ok else 'false'}")
-    return 0 if cutoff_ok else 2
+    print(f"cutoff_region_pass {'true' if summary.cutoff_region_pass else 'false'}")
+    return 0 if summary.cutoff_region_pass else 2
 
 
 def run(argv: Sequence[str]) -> int:

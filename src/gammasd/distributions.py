@@ -141,12 +141,18 @@ def sd_moments(params: GammaParams) -> SdSummary:
     mu    = sqrt(b) * exp(logGamma(a - 1/2) - logGamma(a))
     sigma = sqrt(b * [1/(a - 1) - exp(2 logGamma(a - 1/2) - 2 logGamma(a))])
 
-    Only valid for a > 1.
+    Only valid for a > 1, and for a below about 2.56e305, where log-gamma
+    overflows.
     """
     a, b = params.a, params.b
     if a <= 1.0:
         raise ValueError(f"SD moments undefined for a <= 1 (got a={a})")
     d = log_gamma(a - 0.5) - log_gamma(a)
+    if math.isnan(d):
+        # both log-gammas are +inf
+        raise ValueError(
+            f"SD moments overflow for shape a={a}: log-gamma exceeds the double range"
+        )
     mu = math.sqrt(b) * math.exp(d)
     var_bracket = _variance_bracket(a, math.exp(2.0 * d))
     return SdSummary(mu=mu, sigma=math.sqrt(b * var_bracket))

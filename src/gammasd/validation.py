@@ -1,24 +1,26 @@
 """Round-trip validation sweep over a log-spaced (mu, sigma) grid.
 
 Each cell maps (mu, sigma) to prior parameters, maps back through the
-closed-form SD moments, and is classified pass/fail against a relative
-error threshold. Per-cell numerical failures are recorded as failed
-cells; the sweep itself never aborts. Cells are independent, so the grid
-may be evaluated concurrently; results are always assembled in row-major
-(mu index, sigma index) order, making the output identical regardless of
-the degree of concurrency.
+closed-form SD moments, and passes when the fit converged (both
+round-trip relative errors below 1 %). Per-cell numerical failures are
+recorded as failed cells; the sweep itself never aborts. Cells are
+independent, so the grid may be evaluated concurrently; results are
+always assembled in row-major (mu index, sigma index) order, making the
+output identical regardless of the degree of concurrency.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import attrgetter
 from typing import IO, Iterable, Sequence
 
-from .distributions import GammaParams, NumericalDegeneracyError, sd_moments
-from .elicitation import ROUND_TRIP_TOL, fit_prior
-from .optimize import OptimOptions
+from .distributions import NumericalDegeneracyError
+from .elicitation import fit_prior
 
 __all__ = [
     "GridSpec",
@@ -44,10 +46,8 @@ class GridSpec:
 
     Defaults reproduce the full published sweep: 1000 x 1000 cells, mu
     log-spaced over [1e-4, 1e4] and, for each mu, sigma log-spaced over
-    [1e-4 * mu, 1e2 * mu], with a 1 % pass threshold. Reduced resolutions
-    are first-class for CI-scale runs. A cell passes only if its fit
-    converged, which already needs both errors below ROUND_TRIP_TOL, so a
-    threshold above ROUND_TRIP_TOL would be ignored and is rejected.
+    [1e-4 * mu, 1e2 * mu]. Reduced resolutions are first-class for
+    CI-scale runs. Every cell is solved with fit_prior's defaults.
     """
 
     mu_points: int = 1000
@@ -56,8 +56,6 @@ class GridSpec:
     mu_hi: float = 1e4
     sigma_ratio_lo: float = 1e-4
     sigma_ratio_hi: float = 1e2
-    pass_threshold: float = 1e-2
-    optim: OptimOptions = field(default_factory=OptimOptions)
 
     def __post_init__(self) -> None:
         if self.mu_points < 1 or self.sigma_points < 1:
@@ -66,11 +64,6 @@ class GridSpec:
             raise ValueError("need 0 < mu_lo < mu_hi")
         if not 0.0 < self.sigma_ratio_lo < self.sigma_ratio_hi:
             raise ValueError("need 0 < sigma_ratio_lo < sigma_ratio_hi")
-        if not 0.0 < self.pass_threshold <= ROUND_TRIP_TOL:
-            raise ValueError(
-                f"pass_threshold must be in (0, {ROUND_TRIP_TOL:g}], "
-                f"got {self.pass_threshold}"
-            )
 
     def mu_values(self) -> list[float]:
         return _log_spaced(self.mu_lo, self.mu_hi, self.mu_points)
@@ -83,7 +76,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class CellResult:
-    """Outcome of the round trip at one (mu, sigma) grid point."""
+    """Outcome of the round trip at one (mu, sigma) grid point. passed
+    always equals converged; the CSV keeps a column for each."""
 
     mu: float
     sigma: float
@@ -101,12 +95,14 @@ class CellResult:
 class GridSummary:
     """Aggregate view of a sweep, including the largest fully-passing
     axis-aligned rectangle in (mu, sigma/mu) log space (None if the input
-    is not a complete rectangular grid or nothing passed)."""
+    is not a complete rectangular grid or nothing passed), and whether
+    cells strictly inside CUTOFF_MU x CUTOFF_RATIO exist and all passed."""
 
     n_cells: int
     n_passed: int
     pass_fraction: float
     pass_rectangle: tuple[float, float, float, float] | None
+    cutoff_region_pass: bool
 
 
 def _log_spaced(lo: float, hi: float, n: int) -> list[float]:
@@ -120,15 +116,14 @@ def _log_spaced(lo: float, hi: float, n: int) -> list[float]:
     return values
 
 
-def _run_cell(mu: float, sigma: float, optim: OptimOptions, threshold: float) -> CellResult:
+def _run_cell(mu: float, sigma: float) -> CellResult:
     try:
-        fit = fit_prior(mu, sigma, optim)
+        fit = fit_prior(mu, sigma)
     except (ValueError, NumericalDegeneracyError, OverflowError):
         nan = float("nan")
         return CellResult(mu, sigma, nan, nan, nan, nan,
                           float("inf"), float("inf"), False, False)
     rel_mu, rel_sigma = fit.round_trip_rel_err
-    passed = fit.converged and rel_mu < threshold and rel_sigma < threshold
     return CellResult(
         mu=mu,
         sigma=sigma,
@@ -138,30 +133,30 @@ def _run_cell(mu: float, sigma: float, optim: OptimOptions, threshold: float) ->
         sigma_rt=fit.round_trip.sigma,
         rel_err_mu=rel_mu,
         rel_err_sigma=rel_sigma,
-        passed=passed,
+        passed=fit.converged,
         converged=fit.converged,
     )
 
 
 def _run_row(args: tuple[float, GridSpec]) -> list[CellResult]:
     mu, spec = args
-    return [
-        _run_cell(mu, sigma, spec.optim, spec.pass_threshold)
-        for sigma in spec.sigma_values(mu)
-    ]
+    return [_run_cell(mu, sigma) for sigma in spec.sigma_values(mu)]
 
 
 def run_grid(spec: GridSpec, workers: int | None = 1) -> list[CellResult]:
     """Evaluate the sweep; returns mu_points * sigma_points cells in
     row-major order. workers > 1 (or None for the CPU count) spreads the
-    mu rows over processes; the result is identical either way."""
+    mu rows over at most min(workers, mu rows, CPU count) processes; the
+    result is identical either way. workers < 1 raises ValueError."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    cpus = os.cpu_count() or 1
     rows = [(mu, spec) for mu in spec.mu_values()]
-    if workers == 1:
-        row_results = map(_run_row, rows)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            row_results = list(pool.map(_run_row, rows, chunksize=8))
-    return [cell for row in row_results for cell in row]
+    n_workers = min(cpus if workers is None else workers, len(rows), cpus)
+    if n_workers == 1:
+        return list(chain.from_iterable(map(_run_row, rows)))
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        return list(chain.from_iterable(pool.map(_run_row, rows, chunksize=8)))
 
 
 def _largest_pass_rectangle(
@@ -199,25 +194,28 @@ def _largest_pass_rectangle(
 
 
 def summarize(results: Sequence[CellResult]) -> GridSummary:
-    """Pass counts plus the largest fully-passing log-rectangle."""
+    """Pass counts, the largest fully-passing log-rectangle and the
+    published-region verdict."""
     if not results:
         raise ValueError("summarize requires a non-empty result collection")
     n_passed = sum(1 for c in results if c.passed)
 
-    rows: list[list[CellResult]] = []
-    for cell in results:
-        if rows and rows[-1][0].mu == cell.mu:
-            rows[-1].append(cell)
-        else:
-            rows.append([cell])
+    rows = [list(row) for _, row in groupby(results, key=attrgetter("mu"))]
     rectangular = len({len(r) for r in rows}) == 1
     rect = _largest_pass_rectangle(rows) if rectangular else None
+
+    inside = [
+        c.passed for c in results
+        if CUTOFF_MU[0] < c.mu < CUTOFF_MU[1]
+        and CUTOFF_RATIO[0] < c.sigma / c.mu < CUTOFF_RATIO[1]
+    ]
 
     return GridSummary(
         n_cells=len(results),
         n_passed=n_passed,
         pass_fraction=n_passed / len(results),
         pass_rectangle=rect,
+        cutoff_region_pass=bool(inside) and all(inside),
     )
 
 

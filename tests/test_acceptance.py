@@ -22,6 +22,7 @@ from gammasd import (
     run_grid,
     sd_moments,
     sd_pdf,
+    summarize,
     upper_bound_a,
     write_csv,
 )
@@ -51,7 +52,9 @@ def _cutoff_cells_all_pass(mu_points, sigma_points, workers=1):
     results = run_grid(spec, workers=workers)
     inside = [c for c in results if _inside_cutoff(c)]
     assert inside, "cut-off region not sampled"
-    return [c for c in inside if not c.passed]
+    failing = [c for c in inside if not c.passed]
+    assert summarize(results).cutoff_region_pass == (not failing)
+    return failing
 
 
 def test_criterion_1_cutoff_region_reduced_grid():

@@ -27,6 +27,12 @@ class TestForward:
         err = capsys.readouterr().err
         assert "a <= 1" in err
 
+    def test_shape_beyond_log_gamma_range(self, capsys):
+        # log-gamma overflows to inf for both a - 1/2 and a
+        assert run(["forward", "--a", "1e306", "--b", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "shape a=1e+306" in err
+
     def test_json_matches_plain(self, capsys):
         run(["forward", "--a", "3", "--b", "1.5"])
         plain = parse_plain(capsys.readouterr().out)
@@ -164,6 +170,8 @@ class TestUsageErrors:
              "--from", "0", "--to", "1", "--points", "1"],
             ["validate", "--mu-points", "1", "--sigma-points", "1",
              "--threshold", "0.05"],
+            ["validate", "--mu-points", "1", "--sigma-points", "1", "--workers", "0"],
+            ["validate", "--mu-points", "1", "--sigma-points", "1", "--workers", "-1"],
         ],
     )
     def test_exit_code_one(self, argv, capsys):

@@ -6,11 +6,11 @@ import pytest
 from gammasd import (
     CellResult,
     GridSpec,
-    OptimOptions,
     run_grid,
     summarize,
     write_csv,
 )
+from gammasd import validation
 from gammasd.validation import CSV_HEADER
 
 
@@ -46,8 +46,6 @@ class TestGridSpec:
         assert spec.mu_points == 1000 and spec.sigma_points == 1000
         assert (spec.mu_lo, spec.mu_hi) == (1e-4, 1e4)
         assert (spec.sigma_ratio_lo, spec.sigma_ratio_hi) == (1e-4, 1e2)
-        assert spec.pass_threshold == 1e-2
-        assert spec.optim == OptimOptions()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -56,8 +54,6 @@ class TestGridSpec:
             {"mu_lo": 0.0},
             {"mu_lo": 10.0, "mu_hi": 1.0},
             {"sigma_ratio_lo": 2.0, "sigma_ratio_hi": 1.0},
-            {"pass_threshold": 0.0},
-            {"pass_threshold": 0.05},
         ],
     )
     def test_rejects_invalid(self, overrides):
@@ -109,14 +105,11 @@ class TestRunGrid:
         assert cell.rel_err_mu == math.inf
 
     def test_pass_flag_consistent(self):
-        spec = small_spec()
-        for cell in run_grid(spec):
-            expected = (
-                cell.converged
-                and cell.rel_err_mu < spec.pass_threshold
-                and cell.rel_err_sigma < spec.pass_threshold
-            )
-            assert cell.passed == expected
+        # a cell passes exactly when its fit converged (1 % round trip)
+        for cell in run_grid(small_spec()):
+            assert cell.passed == cell.converged
+            if cell.passed:
+                assert cell.rel_err_mu < 1e-2 and cell.rel_err_sigma < 1e-2
 
     def test_deterministic(self):
         spec = small_spec()
@@ -127,6 +120,51 @@ class TestRunGrid:
         serial = csv_bytes(run_grid(spec, workers=1))
         parallel = csv_bytes(run_grid(spec, workers=3))
         assert serial == parallel
+
+    @pytest.mark.parametrize(
+        "cpus, rows, workers, expected",
+        [
+            (4, 3, 500, 3),    # capped by the row count
+            (4, 8, 500, 4),    # capped by the CPU count
+            (4, 3, None, 3),   # None means the CPU count, then capped
+            (4, 8, 2, 2),
+            (4, 8, 1, None),   # serial: no pool
+            (4, 1, 500, None),
+            (None, 8, 500, None),
+        ],
+    )
+    def test_worker_count_capped(self, monkeypatch, cpus, rows, workers, expected):
+        pools = []
+
+        class FakePool:
+            # maps serially in this process and records the requested size
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(validation, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(validation.os, "cpu_count", lambda: cpus)
+        spec = small_spec(n=rows, m=2)
+        results = run_grid(spec, workers=workers)
+        assert pools == ([] if expected is None else [expected])
+        assert len(results) == 2 * rows
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_nonpositive_workers(self, monkeypatch, workers):
+        def no_pool(max_workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(validation, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="workers"):
+            run_grid(small_spec(n=2, m=2), workers=workers)
 
 
 class TestSummarize:
@@ -160,6 +198,21 @@ class TestSummarize:
     def test_empty_input(self):
         with pytest.raises(ValueError):
             summarize([])
+
+    @pytest.mark.parametrize(
+        "cells, expected",
+        [
+            # cut-off region (2e-3, 1e4) x (3e-3, 50) not sampled
+            ([make_cell(1e-4, 1e-5), make_cell(1e5, 1e4)], False),
+            # one failing cell inside
+            ([make_cell(1.0, 0.5), make_cell(1.0, 1.0, passed=False)], False),
+            # every cell inside passes; failures outside do not count
+            ([make_cell(1e-4, 1e-5, passed=False), make_cell(1.0, 0.5),
+              make_cell(1.0, 1e3, passed=False), make_cell(10.0, 1.0)], True),
+        ],
+    )
+    def test_cutoff_region_verdict(self, cells, expected):
+        assert summarize(cells).cutoff_region_pass is expected
 
 
 class TestWriteCsv:
