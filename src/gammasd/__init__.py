@@ -22,7 +22,7 @@ from .elicitation import (
     residual_D,
     upper_bound_a,
 )
-from .optimize import OptimOptions, OptimResult, minimize_bounded
+from .optimize import OptimResult, minimize_bounded
 from .validation import (
     CellResult,
     GridSpec,
@@ -42,7 +42,6 @@ __all__ = [
     "GridSpec",
     "GridSummary",
     "NumericalDegeneracyError",
-    "OptimOptions",
     "OptimResult",
     "ROUND_TRIP_TOL",
     "S",

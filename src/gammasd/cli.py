@@ -20,7 +20,6 @@ from typing import Sequence
 
 from .distributions import GammaParams, NumericalDegeneracyError, precision_pdf, sd_moments, sd_pdf
 from .elicitation import fit_prior
-from .optimize import OptimOptions
 from .validation import GridSpec, run_grid, summarize, write_csv
 
 __all__ = ["run", "main"]
@@ -72,8 +71,6 @@ def _build_parser() -> _Parser:
     inv = sub.add_parser("inverse", help="SD summary (mu, sigma) -> Gamma (a0, b0)")
     inv.add_argument("--mu", type=_positive, required=True)
     inv.add_argument("--sigma", type=_positive, required=True)
-    inv.add_argument("--x-tol", type=_positive, default=1e-10)
-    inv.add_argument("--max-iter", type=int, default=500)
     inv.add_argument("--output", choices=["plain", "json"], default="plain")
 
     pdf = sub.add_parser("pdf", help="tabulate a density as CSV on stdout")
@@ -104,8 +101,7 @@ def _cmd_forward(args: argparse.Namespace) -> int:
 
 
 def _cmd_inverse(args: argparse.Namespace) -> int:
-    opts = OptimOptions(x_tol=args.x_tol, max_iter=args.max_iter)
-    fit = fit_prior(args.mu, args.sigma, opts)
+    fit = fit_prior(args.mu, args.sigma)
     _emit(
         [
             ("a0", fit.params.a),

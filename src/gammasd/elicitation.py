@@ -20,7 +20,7 @@ from .distributions import (
     log_gamma,
     sd_moments,
 )
-from .optimize import OptimOptions, minimize_bounded
+from .optimize import minimize_bounded
 
 __all__ = [
     "BRACKET_EPS",
@@ -111,33 +111,35 @@ def upper_bound_a(mu0: float, sigma0: float) -> float:
     tends to 0.
     """
     _validate_targets(mu0, sigma0)
-    r = (mu0 / sigma0) ** 2
+    q = mu0 / sigma0
+    r = q * q
     return 0.125 * (1.0 + math.sqrt(49.0 + r * r + 50.0 * r) + r)
 
 
-def fit_prior(
-    mu0: float,
-    sigma0: float,
-    opts: OptimOptions = OptimOptions(),
-) -> FitResult:
+def fit_prior(mu0: float, sigma0: float) -> FitResult:
     """Recover (a0, b0) for a target SD summary (mu0, sigma0).
 
     Minimises the objective over [1 + BRACKET_EPS, upper_bound_a(mu0,
     sigma0)], then sets b0 = mu0^2 / S(a0) and recomputes the SD moments
     as a round-trip check. Optimiser non-convergence is reported through
-    converged=False, not raised; an upper bound at or below the lower
-    bracket edge raises ValueError.
+    converged=False, not raised; an upper bound that is not finite or at
+    or below the lower bracket edge raises ValueError.
     """
     _validate_targets(mu0, sigma0)
     a_lo = 1.0 + BRACKET_EPS
     a_hi = upper_bound_a(mu0, sigma0)
+    if not math.isfinite(a_hi):
+        raise ValueError(
+            f"infeasible bracket: upper bound {a_hi} is not finite "
+            f"(sigma0/mu0 = {sigma0 / mu0:g} is too small)"
+        )
     if a_hi <= a_lo:
         raise ValueError(
             f"infeasible bracket: upper bound {a_hi} does not exceed {a_lo} "
             f"(sigma0/mu0 = {sigma0 / mu0:g} is too large)"
         )
 
-    result = minimize_bounded(lambda a: objective(a, mu0, sigma0), a_lo, a_hi, opts)
+    result = minimize_bounded(lambda a: objective(a, mu0, sigma0), a_lo, a_hi)
     a0 = result.x_min
     s0 = S(a0)
     b0 = mu0 * mu0 / s0

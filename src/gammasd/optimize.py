@@ -12,23 +12,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["OptimOptions", "OptimResult", "minimize_bounded"]
+__all__ = ["OptimResult", "minimize_bounded"]
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))  # 0.381966...
 
-
-@dataclass(frozen=True)
-class OptimOptions:
-    """Tolerances and iteration limit for the bounded minimiser."""
-
-    x_tol: float = 1e-10
-    max_iter: int = 500
-
-    def __post_init__(self) -> None:
-        if not self.x_tol > 0.0:
-            raise ValueError(f"x_tol must be > 0, got {self.x_tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+# Absolute tolerance on the argument, and the iteration cap.
+_X_TOL = 1e-10
+_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -39,18 +29,13 @@ class OptimResult:
     converged: bool
 
 
-def minimize_bounded(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    opts: OptimOptions = OptimOptions(),
-) -> OptimResult:
-    """Minimise f over [lo, hi] to within opts.x_tol on the argument.
+def minimize_bounded(f: Callable[[float], float], lo: float, hi: float) -> OptimResult:
+    """Minimise f over [lo, hi] to within _X_TOL on the argument.
 
     For a unimodal f with an interior minimiser the returned point is
-    within x_tol of it; otherwise some local minimiser is returned. If the
-    iteration cap is hit the best point found so far is returned with
-    converged=False, never raised.
+    within _X_TOL of it; otherwise some local minimiser is returned. If
+    the cap of _MAX_ITER iterations is hit the best point found so far is
+    returned with converged=False, never raised.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -62,9 +47,9 @@ def minimize_bounded(
     iterations = 0
     converged = False
 
-    while iterations < opts.max_iter:
+    while iterations < _MAX_ITER:
         mid = 0.5 * (a + b)
-        tol1 = opts.x_tol / 3.0 + 1e-15 * abs(x)
+        tol1 = _X_TOL / 3.0 + 1e-15 * abs(x)
         tol2 = 2.0 * tol1
         if abs(x - mid) <= tol2 - 0.5 * (b - a):
             converged = True

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import attrgetter
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .distributions import NumericalDegeneracyError
 from .elicitation import fit_prior
@@ -76,8 +76,9 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class CellResult:
-    """Outcome of the round trip at one (mu, sigma) grid point. passed
-    always equals converged; the CSV keeps a column for each."""
+    """Outcome of the round trip at one (mu, sigma) grid point. passed is
+    the fit's converged flag; the CSV writes it to both the converged and
+    the passed column."""
 
     mu: float
     sigma: float
@@ -88,7 +89,6 @@ class CellResult:
     rel_err_mu: float
     rel_err_sigma: float
     passed: bool
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def _run_cell(mu: float, sigma: float) -> CellResult:
     except (ValueError, NumericalDegeneracyError, OverflowError):
         nan = float("nan")
         return CellResult(mu, sigma, nan, nan, nan, nan,
-                          float("inf"), float("inf"), False, False)
+                          float("inf"), float("inf"), False)
     rel_mu, rel_sigma = fit.round_trip_rel_err
     return CellResult(
         mu=mu,
@@ -134,7 +134,6 @@ def _run_cell(mu: float, sigma: float) -> CellResult:
         rel_err_mu=rel_mu,
         rel_err_sigma=rel_sigma,
         passed=fit.converged,
-        converged=fit.converged,
     )
 
 
@@ -223,28 +222,14 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def write_csv(results: Iterable[CellResult], destination: str | IO[str]) -> None:
-    """Write one row per cell after a fixed header, reals at 17
-    significant digits, booleans as true/false, input order preserved."""
-    if hasattr(destination, "write"):
-        _write_csv_stream(results, destination)
-    else:
-        with open(destination, "w", newline="") as fh:
-            _write_csv_stream(results, fh)
-
-
-def _write_csv_stream(results: Iterable[CellResult], fh: IO[str]) -> None:
-    fh.write(CSV_HEADER + "\n")
-    for c in results:
-        fh.write(
-            ",".join(
-                (
-                    _fmt(c.mu), _fmt(c.sigma), _fmt(c.a0), _fmt(c.b0),
-                    _fmt(c.mu_rt), _fmt(c.sigma_rt),
-                    _fmt(c.rel_err_mu), _fmt(c.rel_err_sigma),
-                    "true" if c.converged else "false",
-                    "true" if c.passed else "false",
-                )
-            )
-            + "\n"
-        )
+def write_csv(results: Iterable[CellResult], path: str) -> None:
+    """Write one row per cell to the file at path after a fixed header,
+    reals at 17 significant digits, booleans as true/false, input order
+    preserved."""
+    with open(path, "w", newline="") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for c in results:
+            reals = (c.mu, c.sigma, c.a0, c.b0, c.mu_rt, c.sigma_rt,
+                     c.rel_err_mu, c.rel_err_sigma)
+            passed = "true" if c.passed else "false"
+            fh.write(",".join([*map(_fmt, reals), passed, passed]) + "\n")

@@ -4,7 +4,6 @@ PASS/FAIL line (run with -s to see them on success).
 The full-resolution 1000 x 1000 sweep is opt-in: pytest -m long.
 """
 
-import io
 import math
 
 import mpmath as mp
@@ -169,13 +168,13 @@ def test_criterion_6_log_gamma_references():
     _report(6, "special-function accuracy", ok)
 
 
-def test_criterion_7_determinism_and_parallel_equivalence():
+def test_criterion_7_determinism_and_parallel_equivalence(tmp_path):
     spec = GridSpec(mu_points=40, sigma_points=40)
 
     def sweep_csv(workers):
-        buf = io.StringIO()
-        write_csv(run_grid(spec, workers=workers), buf)
-        return buf.getvalue()
+        path = tmp_path / "cells.csv"
+        write_csv(run_grid(spec, workers=workers), str(path))
+        return path.read_bytes()
 
     first, second = sweep_csv(1), sweep_csv(1)
     parallel = sweep_csv(2)

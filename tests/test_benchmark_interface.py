@@ -5,6 +5,7 @@ changing it) and check that the interface it uses still exists."""
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import gammasd
@@ -13,19 +14,53 @@ from gammasd.cli import _build_parser
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _gammasd_imports():
+def _trees():
     for path in sorted(PERFBENCH.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.ImportFrom) and node.module == "gammasd":
-                for alias in node.names:
-                    yield path.name, alias.name
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def _gammasd_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "gammasd":
+            for alias in node.names:
+                yield alias
+
+
+def _direct_calls():
+    """(file, line, imported name, positional count, keyword names) for
+    every call by bare name to a name imported from gammasd, except calls
+    with *args or **kwargs, whose shape is not known statically."""
+    for filename, tree in _trees():
+        imported = {a.asname or a.name: a.name for a in _gammasd_imports(tree)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in imported):
+                continue
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            if starred or any(kw.arg is None for kw in node.keywords):
+                continue
+            yield (filename, node.lineno, imported[node.func.id], len(node.args),
+                   [kw.arg for kw in node.keywords])
 
 
 def test_imported_names_are_public():
-    imports = list(_gammasd_imports())
+    imports = [(f, a.name) for f, tree in _trees() for a in _gammasd_imports(tree)]
     assert imports, "no `from gammasd import ...` found under perfbench/"
     missing = [(f, name) for f, name in imports if name not in gammasd.__all__]
     assert not missing
+
+
+def test_call_shapes_bind():
+    calls = list(_direct_calls())
+    assert calls, "no direct call to a gammasd name found under perfbench/"
+    rejected = []
+    for filename, line, name, n_args, keywords in calls:
+        signature = inspect.signature(getattr(gammasd, name))
+        try:
+            signature.bind(*[None] * n_args, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            rejected.append(f"{filename}:{line} {name}: {exc}")
+    assert not rejected
 
 
 def test_cli_accepts_validate_argv():

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from gammasd import optimize
 from gammasd.cli import run
 from gammasd.validation import CSV_HEADER
 
@@ -50,11 +51,10 @@ class TestInverse:
         assert float(out["b0"]) == pytest.approx(2.0, rel=1e-6)
         assert out["converged"] == "True"
 
-    def test_nonconvergence_exit_code(self, capsys):
+    def test_nonconvergence_exit_code(self, monkeypatch, capsys):
         # one optimiser iteration cannot satisfy the round-trip criterion
-        code = run(
-            ["inverse", "--mu", "1.2533", "--sigma", "0.6551", "--max-iter", "1"]
-        )
+        monkeypatch.setattr(optimize, "_MAX_ITER", 1)
+        code = run(["inverse", "--mu", "1.2533", "--sigma", "0.6551"])
         assert code == 2
         out = parse_plain(capsys.readouterr().out)
         assert out["converged"] == "False"
@@ -62,6 +62,19 @@ class TestInverse:
     def test_infeasible_target(self, capsys):
         assert run(["inverse", "--mu", "1", "--sigma", "1e5"]) == 1
         assert "infeasible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mu, sigma",
+        [
+            ("1e170", "1"),       # (mu/sigma)^2 overflows a float
+            ("1e200", "1e-200"),  # mu/sigma itself overflows
+        ],
+    )
+    def test_ratio_too_small(self, mu, sigma, capsys):
+        assert run(["inverse", "--mu", mu, "--sigma", sigma]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too small" in err
 
     def test_json_round_trips(self, capsys):
         assert (

@@ -4,30 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammasd import OptimOptions, OptimResult, minimize_bounded, objective
-
-
-class TestOptimOptions:
-    def test_defaults(self):
-        opts = OptimOptions()
-        assert opts.x_tol == 1e-10
-        assert opts.max_iter == 500
-
-    @pytest.mark.parametrize("x_tol, max_iter", [(0.0, 10), (-1e-3, 10), (1e-8, 0)])
-    def test_rejects_invalid(self, x_tol, max_iter):
-        with pytest.raises(ValueError):
-            OptimOptions(x_tol=x_tol, max_iter=max_iter)
+from gammasd import OptimResult, minimize_bounded, objective
+from gammasd import optimize
 
 
 class TestMinimizeBounded:
     def test_quadratic_vertex(self):
-        res = minimize_bounded(lambda x: (x - 2.0) ** 2, 0.0, 5.0, OptimOptions(1e-10, 500))
+        res = minimize_bounded(lambda x: (x - 2.0) ** 2, 0.0, 5.0)
         assert res.converged
         assert res.x_min == pytest.approx(2.0, abs=1e-10)
         assert res.f_min == pytest.approx(0.0, abs=1e-18)
 
     def test_kink_minimum(self):
-        res = minimize_bounded(lambda x: abs(x - 1.3), 0.0, 2.0, OptimOptions(1e-8, 500))
+        res = minimize_bounded(lambda x: abs(x - 1.3), 0.0, 2.0)
         assert res.converged
         assert res.x_min == pytest.approx(1.3, abs=1e-8)
 
@@ -35,23 +24,19 @@ class TestMinimizeBounded:
         # forward-map consistency: the shape objective for the (2, 2)
         # target has its minimum at a = 2
         mu0, sigma0 = 1.253314137, 0.655136377
-        res = minimize_bounded(
-            lambda a: objective(a, mu0, sigma0),
-            1.0 + 1e-9,
-            2.5406,
-            OptimOptions(1e-10, 500),
-        )
+        res = minimize_bounded(lambda a: objective(a, mu0, sigma0), 1.0 + 1e-9, 2.5406)
         assert res.converged
         assert res.x_min == pytest.approx(2.0, abs=1e-6)
 
     def test_result_is_deterministic(self):
         f = lambda x: math.cos(x) + 0.1 * x
-        first = minimize_bounded(f, 0.0, 7.0, OptimOptions(1e-12, 500))
-        second = minimize_bounded(f, 0.0, 7.0, OptimOptions(1e-12, 500))
+        first = minimize_bounded(f, 0.0, 7.0)
+        second = minimize_bounded(f, 0.0, 7.0)
         assert first == second
 
-    def test_iteration_limit_reports_nonconvergence(self):
-        res = minimize_bounded(lambda x: (x - 2.0) ** 2, 0.0, 5.0, OptimOptions(1e-12, 2))
+    def test_iteration_limit_reports_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_MAX_ITER", 2)
+        res = minimize_bounded(lambda x: (x - 2.0) ** 2, 0.0, 5.0)
         assert not res.converged
         assert res.iterations == 2
         assert 0.0 <= res.x_min <= 5.0
@@ -65,7 +50,7 @@ class TestMinimizeBounded:
 
     def test_boundary_minimum(self):
         # monotone function: minimiser sits at the lower edge
-        res = minimize_bounded(lambda x: x, 0.0, 1.0, OptimOptions(1e-8, 500))
+        res = minimize_bounded(lambda x: x, 0.0, 1.0)
         assert res.converged
         assert res.x_min == pytest.approx(0.0, abs=1e-7)
 
@@ -76,9 +61,7 @@ class TestMinimizeBounded:
     )
     def test_quadratic_family(self, vertex, scale):
         lo, hi = -15.0, 15.0
-        res = minimize_bounded(
-            lambda x: scale * (x - vertex) ** 2 + 1.0, lo, hi, OptimOptions(1e-9, 500)
-        )
+        res = minimize_bounded(lambda x: scale * (x - vertex) ** 2 + 1.0, lo, hi)
         assert lo <= res.x_min <= hi
         assert res.x_min == pytest.approx(vertex, abs=1e-7)
 
@@ -91,20 +74,10 @@ class TestMinimizeBounded:
         ],
     )
     def test_endpoint_dominance(self, f, lo, hi):
-        res = minimize_bounded(f, lo, hi, OptimOptions(1e-10, 500))
+        res = minimize_bounded(f, lo, hi)
         assert lo <= res.x_min <= hi
         assert res.f_min <= f(lo)
         assert res.f_min <= f(hi)
-
-    def test_tightening_tolerance_never_hurts(self):
-        # halving x_tol keeps the quadratic vertex within the looser tolerance
-        tol = 1e-4
-        while tol > 1e-12:
-            res = minimize_bounded(
-                lambda x: (x - 2.0) ** 2, 0.0, 5.0, OptimOptions(tol, 500)
-            )
-            assert abs(res.x_min - 2.0) <= tol
-            tol /= 2.0
 
 
 class TestOptimResult:

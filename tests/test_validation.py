@@ -1,4 +1,3 @@
-import io
 import math
 
 import pytest
@@ -6,6 +5,7 @@ import pytest
 from gammasd import (
     CellResult,
     GridSpec,
+    fit_prior,
     run_grid,
     summarize,
     write_csv,
@@ -27,16 +27,20 @@ def small_spec(n=8, m=8, **overrides):
     return GridSpec(**defaults)
 
 
-def csv_bytes(results):
-    buf = io.StringIO()
-    write_csv(results, buf)
-    return buf.getvalue()
+@pytest.fixture
+def csv_bytes(tmp_path):
+    def write(results):
+        path = tmp_path / "cells.csv"
+        write_csv(results, str(path))
+        return path.read_bytes().decode()
+
+    return write
 
 
 def make_cell(mu, sigma, passed=True):
     return CellResult(
         mu=mu, sigma=sigma, a0=2.0, b0=2.0, mu_rt=mu, sigma_rt=sigma,
-        rel_err_mu=0.0, rel_err_sigma=0.0, passed=passed, converged=True,
+        rel_err_mu=0.0, rel_err_sigma=0.0, passed=passed,
     )
 
 
@@ -92,7 +96,7 @@ class TestRunGrid:
                         sigma_ratio_lo=1.0, sigma_ratio_hi=2.0)
         [cell] = run_grid(spec)
         assert cell.mu == 1.0 and cell.sigma == 1.0
-        assert cell.passed and cell.converged
+        assert cell.passed
         assert cell.rel_err_mu < 1e-10 and cell.rel_err_sigma < 1e-10
 
     def test_degenerate_cell_recorded_not_raised(self):
@@ -100,22 +104,22 @@ class TestRunGrid:
         spec = GridSpec(mu_points=1, sigma_points=1, mu_lo=1.0, mu_hi=2.0,
                         sigma_ratio_lo=1e-4, sigma_ratio_hi=2e-4)
         [cell] = run_grid(spec)
-        assert not cell.passed and not cell.converged
+        assert not cell.passed
         assert math.isnan(cell.a0)
         assert cell.rel_err_mu == math.inf
 
     def test_pass_flag_consistent(self):
         # a cell passes exactly when its fit converged (1 % round trip)
         for cell in run_grid(small_spec()):
-            assert cell.passed == cell.converged
+            assert cell.passed == fit_prior(cell.mu, cell.sigma).converged
             if cell.passed:
                 assert cell.rel_err_mu < 1e-2 and cell.rel_err_sigma < 1e-2
 
-    def test_deterministic(self):
+    def test_deterministic(self, csv_bytes):
         spec = small_spec()
         assert csv_bytes(run_grid(spec)) == csv_bytes(run_grid(spec))
 
-    def test_parallel_equivalent_to_serial(self):
+    def test_parallel_equivalent_to_serial(self, csv_bytes):
         spec = small_spec()
         serial = csv_bytes(run_grid(spec, workers=1))
         parallel = csv_bytes(run_grid(spec, workers=3))
@@ -216,10 +220,10 @@ class TestSummarize:
 
 
 class TestWriteCsv:
-    def test_empty_results_header_only(self):
+    def test_empty_results_header_only(self, csv_bytes):
         assert csv_bytes([]) == CSV_HEADER + "\n"
 
-    def test_two_cells_three_lines_in_order(self):
+    def test_two_cells_three_lines_in_order(self, csv_bytes):
         text = csv_bytes([make_cell(1.0, 0.5), make_cell(2.0, 1.0)])
         lines = text.splitlines()
         assert len(lines) == 3
@@ -227,17 +231,21 @@ class TestWriteCsv:
         assert lines[1].startswith("1,0.5,")
         assert lines[2].startswith("2,1,")
 
-    def test_field_order_and_booleans(self):
-        cell = CellResult(
-            mu=1.0, sigma=0.5, a0=2.25, b0=3.5, mu_rt=1.0, sigma_rt=0.5,
-            rel_err_mu=1e-9, rel_err_sigma=2e-9, passed=False, converged=True,
-        )
-        line = csv_bytes([cell]).splitlines()[1]
-        fields = line.split(",")
-        assert fields[2] == "2.25" and fields[3] == "3.5"
-        assert fields[8] == "true" and fields[9] == "false"
+    def test_field_order_and_booleans(self, csv_bytes):
+        # the converged and passed columns both carry the cell's verdict
+        cells = [
+            CellResult(
+                mu=1.0, sigma=0.5, a0=2.25, b0=3.5, mu_rt=1.0, sigma_rt=0.5,
+                rel_err_mu=1e-9, rel_err_sigma=2e-9, passed=passed,
+            )
+            for passed in (False, True)
+        ]
+        failing, passing = (line.split(",") for line in csv_bytes(cells).splitlines()[1:])
+        assert failing[2] == "2.25" and failing[3] == "3.5"
+        assert failing[8] == failing[9] == "false"
+        assert passing[8] == passing[9] == "true"
 
-    def test_seventeen_significant_digits_round_trip(self):
+    def test_seventeen_significant_digits_round_trip(self, csv_bytes):
         mu = 1.2533141373155003
         line = csv_bytes([make_cell(mu, mu)]).splitlines()[1]
         assert float(line.split(",")[0]) == mu
