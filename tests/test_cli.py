@@ -76,6 +76,23 @@ class TestInverse:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "too small" in err
 
+    @pytest.mark.parametrize("scale", ["1e-300", "1e300"])
+    def test_rate_outside_double_range(self, scale, capsys):
+        # sigma/mu = 1 is well inside the robust region, but b0 = mu0^2/S(a0)
+        # underflows to 0 or overflows to inf
+        assert run(["inverse", "--mu", scale, "--sigma", scale]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mu0 = ") and err.count("\n") == 1
+        assert "rate b0 = mu0^2/S(a0)" in err and "outside the double range" in err
+
+    def test_tiny_scale(self, capsys):
+        # the squared mu-scaled residual underflows here; the dimensionless
+        # one does not
+        assert run(["inverse", "--mu", "1e-150", "--sigma", "1e-150"]) == 0
+        out = parse_plain(capsys.readouterr().out)
+        assert float(out["a0"]) == pytest.approx(1.2945395, rel=1e-6)
+        assert out["converged"] == "True"
+
     def test_json_round_trips(self, capsys):
         assert (
             run(["inverse", "--mu", "1.0", "--sigma", "0.5", "--output", "json"]) == 0

@@ -176,6 +176,41 @@ class TestFitPrior:
         assert scaled.params.a == pytest.approx(base.params.a, abs=1e-8)
         assert scaled.params.b == pytest.approx(c * c * base.params.b, rel=1e-6)
 
+    @pytest.mark.parametrize("k", [-250, -40, 40, 250])
+    def test_scale_equivariance_is_exact(self, k):
+        # scaling by 2^k leaves sigma/mu bit-identical, so a0 must be too
+        c = 2.0**k
+        base = fit_prior(MU_22, SIGMA_22)
+        scaled = fit_prior(c * MU_22, c * SIGMA_22)
+        assert scaled.params.a == base.params.a
+        assert scaled.params.b == 4.0**k * base.params.b
+
+    def test_log_gamma_calls_follow_iterations(self, monkeypatch):
+        # Each residual evaluation calls S (two log-gammas) once; the closing
+        # S(a0) and sd_moments add four. The benchmark derives its call and
+        # evaluation counters from `iterations` by this formula.
+        import gammasd.distributions
+        import gammasd.elicitation
+
+        calls = 0
+        real = gammasd.distributions.log_gamma
+
+        def counting(x):
+            nonlocal calls
+            calls += 1
+            return real(x)
+
+        monkeypatch.setattr(gammasd.elicitation, "log_gamma", counting)
+        monkeypatch.setattr(gammasd.distributions, "log_gamma", counting)
+        n = 30
+        for i in range(n):
+            ratio = 3e-3 * (50.0 / 3e-3) ** (i / (n - 1))
+            calls = 0
+            fit = fit_prior(1.0, ratio)
+            assert fit.converged
+            assert calls == 2 * (fit.iterations + 1) + 4, ratio
+            assert fit.iterations + 1 <= 8, ratio
+
 
 class TestAgainstIndependentOracles:
     def test_upper_bound_brackets_root_on_grid(self):
