@@ -3,7 +3,6 @@ and the mean/SD summary of the induced noise standard deviation."""
 
 from .distributions import (
     GammaParams,
-    NumericalDegeneracyError,
     SdSummary,
     log_gamma,
     precision_moments,
@@ -41,7 +40,6 @@ __all__ = [
     "GammaParams",
     "GridSpec",
     "GridSummary",
-    "NumericalDegeneracyError",
     "OptimResult",
     "ROUND_TRIP_TOL",
     "S",

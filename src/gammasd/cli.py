@@ -18,7 +18,7 @@ import math
 import sys
 from typing import Sequence
 
-from .distributions import GammaParams, NumericalDegeneracyError, precision_pdf, sd_moments, sd_pdf
+from .distributions import GammaParams, precision_pdf, sd_moments, sd_pdf
 from .elicitation import fit_prior
 from .validation import GridSpec, run_grid, summarize, write_csv
 
@@ -176,10 +176,7 @@ def run(argv: Sequence[str]) -> int:
     }
     try:
         return handlers[args.subcommand](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, NumericalDegeneracyError) as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

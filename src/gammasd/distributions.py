@@ -6,8 +6,14 @@ a distribution over the noise standard deviation s with density
 
     f_s(s) = 2 b^a / Gamma(a) * s^(-2a - 1) * exp(-b / s^2),  s > 0.
 
-Its mean and standard deviation have closed forms in terms of log-gamma,
+Its mean and standard deviation have closed forms in the gamma ratio,
 valid for a > 1. Densities themselves are defined for all a > 0.
+
+Every gamma ratio in the library goes through one kernel, _g(x) =
+Gamma(x + 1)^2 / Gamma(x + 1/2)^2 - x with x = a - 1, which Watson's
+inequality (Proc. Edinburgh Math. Soc. 11, 1959) confines to (1/4, 1/pi].
+The SD moments and the inverse transform are products and quotients of x
+and g, so no difference of nearly equal terms is left to cancel.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from dataclasses import dataclass
 __all__ = [
     "GammaParams",
     "SdSummary",
-    "NumericalDegeneracyError",
     "log_gamma",
     "precision_pdf",
     "precision_moments",
@@ -27,11 +32,6 @@ __all__ = [
 ]
 
 _LOG_2 = math.log(2.0)
-
-
-class NumericalDegeneracyError(ArithmeticError):
-    """A quantity that is positive in exact arithmetic lost its sign in
-    double precision (typically the SD variance bracket at very large a)."""
 
 
 def log_gamma(x: float) -> float:
@@ -50,18 +50,23 @@ def log_gamma(x: float) -> float:
         return math.inf
 
 
-def _variance_bracket(a: float, s: float) -> float:
-    """1/(a - 1) - S(a), where S(a) = exp(2 (logGamma(a - 1/2) - logGamma(a))).
+def _g(x: float) -> float:
+    """Gamma(x + 1)^2 / Gamma(x + 1/2)^2 - x for x >= 0, a value in (1/4, 1/pi].
 
-    Positive for a > 1 in exact arithmetic; at large a cancellation can
-    lose its sign, which raises NumericalDegeneracyError.
+    Below x = 10 from log-gamma; above, as x expm1(2 L) with L the log of
+    Gamma(x + 1) / (sqrt(x) Gamma(x + 1/2)) from its asymptotic series in
+    odd powers of 1/x (DLMF 5.11.13, coefficients
+    (-1)^(n+1) (B_(n+1)(1) - B_(n+1)(1/2)) / (n (n + 1)) for odd n, eight
+    terms). Both stay within 5e-13 relative of a 50-digit reference.
     """
-    bracket = 1.0 / (a - 1.0) - s
-    if bracket <= 0.0:
-        raise NumericalDegeneracyError(
-            f"SD variance bracket non-positive at a={a} (loss of precision)"
-        )
-    return bracket
+    if x < 10.0:
+        # both arguments lie in [1/2, 11), so the checks of log_gamma cannot fire
+        return math.exp(2.0 * (math.lgamma(x + 1.0) - math.lgamma(x + 0.5))) - x
+    y = 1.0 / x
+    z = y * y
+    log_ratio = y * (1 / 8 + z * (-1 / 192 + z * (1 / 640 + z * (-17 / 14336 + z * (
+        31 / 18432 + z * (-691 / 180224 + z * (5461 / 425984 + z * (-929569 / 15728640))))))))
+    return x * math.expm1(2.0 * log_ratio)
 
 
 @dataclass(frozen=True)
@@ -138,21 +143,19 @@ def sd_pdf(s: float, params: GammaParams) -> float:
 def sd_moments(params: GammaParams) -> SdSummary:
     """Closed-form mean and standard deviation of the SD distribution.
 
-    mu    = sqrt(b) * exp(logGamma(a - 1/2) - logGamma(a))
-    sigma = sqrt(b * [1/(a - 1) - exp(2 logGamma(a - 1/2) - 2 logGamma(a))])
+    With x = a - 1 and g = Gamma(a)^2 / Gamma(a - 1/2)^2 - x:
 
-    Only valid for a > 1, and for a below about 2.56e305, where log-gamma
-    overflows.
+    mu    = sqrt(b / (x + g))
+    sigma = mu * sqrt(g / x)
+
+    Only valid for a > 1.
     """
     a, b = params.a, params.b
     if a <= 1.0:
         raise ValueError(f"SD moments undefined for a <= 1 (got a={a})")
-    d = log_gamma(a - 0.5) - log_gamma(a)
-    if math.isnan(d):
-        # both log-gammas are +inf
-        raise ValueError(
-            f"SD moments overflow for shape a={a}: log-gamma exceeds the double range"
-        )
-    mu = math.sqrt(b) * math.exp(d)
-    var_bracket = _variance_bracket(a, math.exp(2.0 * d))
-    return SdSummary(mu=mu, sigma=math.sqrt(b * var_bracket))
+    x = a - 1.0
+    g = _g(x)
+    # sqrt(b) / sqrt(x + g): b / (x + g) alone overflows for b near the
+    # largest double and a near 1
+    mu = math.sqrt(b) / math.sqrt(x + g)
+    return SdSummary(mu=mu, sigma=mu * math.sqrt(g / x))

@@ -1,16 +1,18 @@
 """Inverse transform: from a target (mu0, sigma0) summary of the noise SD
 to the Gamma precision-prior parameters (a0, b0).
 
-The shape a0 is the root of a residual obtained by eliminating b between
-the two closed-form SD moments: D(a) = mu0^2 / S(a) - sigma0^2 / V(a),
-with the gamma-ratio substitution S(a) and V(a) = 1/(a - 1) - S(a). The
-solver uses its dimensionless form log(V/S) - 2 log(sigma0/mu0), which
-depends only on sigma0/mu0, as a bracketed root in log(a - 1). Watson's
-inequality (Proc. Edinburgh Math. Soc. 11, 1959) brackets that root
-analytically within a factor 4/pi, clipped to (1, a_hat], where a_hat is
-an upper bound from a two-term large-a series of S. The search stops when
-the residual is within its own rounding error. The rate follows as
-b0 = mu0^2 / S(a0).
+Eliminating b between the two closed-form SD moments leaves one equation
+in the shape. With x = a - 1, r = sigma0/mu0 and the gamma-ratio kernel
+g(x) = Gamma(x + 1)^2 / Gamma(x + 1/2)^2 - x, the moments give
+(sigma/mu)^2 = g(x)/x, so x0 = a0 - 1 is the fixed point of
+x = g(x) / r^2. Watson's inequality (Proc. Edinburgh Math. Soc. 11, 1959)
+puts g in (1/4, 1/pi], so the map takes every x > 0 into
+[1/(4 r^2), 1/(pi r^2)], and on that interval its slope is below 0.073 in
+magnitude (0.064 at most at the fixed point): it is a contraction with
+exactly one fixed point for every r > 0. Steffensen's method (Aitken
+extrapolation of each pair of plain steps; Steffensen 1933) finds it from
+x = 1/(4 r^2), and the rate follows from the identity E[s^2] = b/(a - 1)
+as b0 = x0 (mu0^2 + sigma0^2).
 """
 
 from __future__ import annotations
@@ -18,14 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import (
-    GammaParams,
-    SdSummary,
-    _variance_bracket,
-    log_gamma,
-    sd_moments,
-)
-from .optimize import _bracketed_root
+from .distributions import GammaParams, SdSummary, _g, sd_moments
 
 __all__ = [
     "BRACKET_EPS",
@@ -39,25 +34,32 @@ __all__ = [
     "fit_prior",
 ]
 
-# D is singular at a = 1; the search bracket starts this far above it.
+# D is singular at a = 1; fit_prior rejects targets whose analytic upper
+# bound on a0 does not exceed 1 by more than this.
 BRACKET_EPS = 1e-9
 
 # Pass threshold on the round-trip relative errors (1 %).
 ROUND_TRIP_TOL = 1e-2
 
-_EPS = math.ulp(1.0)
+# Relative step between successive iterates at which the shape solve
+# stops, and its cap on iterations (kernel evaluations less one).
+_STEP_TOL = 1e-12
+_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
 class FitResult:
     """Recovered prior parameters plus solver diagnostics.
 
-    objective_at_min is log(D^2 + 1) and residual_D is D, both at a0.
+    objective_at_min is log1p(h0^2), where h0 = log(g(x0) / (r^2 x0)) is
+    the dimensionless residual of the shape equation at the fit (x0 = a0 - 1,
+    r = sigma0/mu0); it does not depend on the scale of the targets.
+    residual_D is residual_D(a0, mu0, sigma0), in units of mu0^2.
     round_trip holds sd_moments(params) recomputed from the fit, and
     round_trip_rel_err the relative errors of that round trip against the
-    targets (mu first). converged requires both the root search to have
-    converged and both relative errors to be below 1 %. iterations + 1 is
-    the number of residual evaluations.
+    targets (mu first). converged requires both the fixed-point iteration
+    to have converged and both relative errors to be below 1 %.
+    iterations + 1 is the number of kernel evaluations in the solve.
     """
 
     params: GammaParams
@@ -70,10 +72,12 @@ class FitResult:
 
 
 def S(a: float) -> float:
-    """Gamma-ratio substitution Gamma(a - 1/2)^2 / Gamma(a)^2, via log-gamma."""
+    """Gamma-ratio substitution Gamma(a - 1/2)^2 / Gamma(a)^2, which is
+    1/(x + g(x)) with x = a - 1."""
     if a <= 1.0:
         raise ValueError(f"S requires a > 1, got {a}")
-    return math.exp(2.0 * (log_gamma(a - 0.5) - log_gamma(a)))
+    x = a - 1.0
+    return 1.0 / (x + _g(x))
 
 
 def S_hat(a: float) -> float:
@@ -81,10 +85,6 @@ def S_hat(a: float) -> float:
     if a <= 0.0:
         raise ValueError(f"S_hat requires a > 0, got {a}")
     return 1.0 / a + 3.0 / (4.0 * a * a)
-
-
-def _residual_given_S(a: float, s: float, mu0: float, sigma0: float) -> float:
-    return mu0 * mu0 / s - sigma0 * sigma0 / _variance_bracket(a, s)
 
 
 def _validate_targets(mu0: float, sigma0: float) -> None:
@@ -97,14 +97,19 @@ def _validate_targets(mu0: float, sigma0: float) -> None:
 def residual_D(a: float, mu0: float, sigma0: float) -> float:
     """Residual whose root in a is the target shape a0.
 
-    D(a) = mu0^2 / S(a) - sigma0^2 / (1/(a-1) - S(a)). The denominator of
-    the second term is positive for a > 1 in exact arithmetic; if it is
-    not in double precision a NumericalDegeneracyError is raised.
+    D(a) = mu0^2 / S(a) - sigma0^2 / (1/(a-1) - S(a)), evaluated without
+    cancellation as (x + g) (mu0^2 - sigma0^2 x / g) with x = a - 1 and
+    g = g(x). It decreases through its root and is defined for a > 1.
     """
     _validate_targets(mu0, sigma0)
-    # S(a) is evaluated once and shared by both terms; consistency between
-    # them matters near the root.
-    return _residual_given_S(a, S(a), mu0, sigma0)
+    if a <= 1.0:
+        raise ValueError(f"residual_D requires a > 1, got {a}")
+    x = a - 1.0
+    return _residual(x, _g(x), mu0, sigma0)
+
+
+def _residual(x: float, g: float, mu0: float, sigma0: float) -> float:
+    return (x + g) * (mu0 * mu0 - sigma0 * sigma0 * x / g)
 
 
 def objective(a: float, mu0: float, sigma0: float) -> float:
@@ -128,19 +133,15 @@ def upper_bound_a(mu0: float, sigma0: float) -> float:
 def fit_prior(mu0: float, sigma0: float) -> FitResult:
     """Recover (a0, b0) for a target SD summary (mu0, sigma0).
 
-    a0 is the root of the dimensionless residual
-    h(t) = log(V(a) / S(a)) - 2 log(sigma0 / mu0) in t = log(a - 1), where
-    V(a) = 1/(a - 1) - S(a), found by Brent's bracketed root method.
-    Watson's inequality 1/4 < 1/S(a) - (a - 1) <= 1/pi brackets the root
-    in a - 1 between 1/(4 r^2) and 1/(pi r^2), r = sigma0/mu0, which is
-    intersected with [BRACKET_EPS, upper_bound_a(mu0, sigma0) - 1]. The
-    search stops when t is bracketed to within 1e-10 or when |h| is within
-    its rounding error, so a0 depends only on sigma0/mu0. Then
-    b0 = mu0^2 / S(a0), and the SD moments are recomputed as a round-trip
-    check. Non-convergence within the iteration cap is reported through
-    converged=False, not raised. ValueError is raised for an upper bound
-    that is not finite or at or below 1 + BRACKET_EPS, and for a b0 outside
-    the double range.
+    x0 = a0 - 1 is the fixed point of x = g(x) / r^2, r = sigma0/mu0,
+    found by Steffensen's method from Watson's end x = 1/(4 r^2). It stops
+    when a plain step moves x by at most 1e-12 relative, so a0 depends only
+    on sigma0/mu0. Then b0 = x0 (mu0^2 + sigma0^2), and the SD moments are
+    recomputed as a round-trip check. Non-convergence within the iteration
+    cap is reported through converged=False, not raised. ValueError is
+    raised when the analytic upper bound upper_bound_a(mu0, sigma0) is not
+    finite or at or below 1 + BRACKET_EPS (sigma0/mu0 below about 1e-77 or
+    above about 1.79e4), and for a b0 outside the double range.
     """
     _validate_targets(mu0, sigma0)
     r = sigma0 / mu0
@@ -158,29 +159,27 @@ def fit_prior(mu0: float, sigma0: float) -> FitResult:
         )
 
     r2 = r * r
-    log_r2 = math.log(r2)
+    x, anchor, solved = 0.25 / r2, None, False
+    for evals in range(1, _MAX_ITER + 2):
+        x1 = _g(x) / r2
+        if abs(x1 - x) <= _STEP_TOL * x1:
+            x, solved = x1, True
+            break
+        if anchor is None:
+            anchor, x = x, x1
+        else:
+            # Aitken's extrapolation of anchor -> x -> x1; the map's slope
+            # is below 0.073, so the two steps cannot be equal.
+            d0, d1 = x - anchor, x1 - x
+            anchor, x = None, x1 - d1 * d1 / (d1 - d0)
 
-    def h(t: float) -> tuple[float, float]:
-        a = 1.0 + math.exp(t)
-        s = S(a)
-        # Rounding error of log(V/S): S = exp(2 (lgamma(a - 1/2) - lgamma(a)))
-        # is off by about 2 eps a log a relative, and the cancellation in
-        # V = 1/(a - 1) - S ~ 1/(4 a^2) multiplies that by 4a.
-        noise = 8.0 * _EPS * a * a * (math.log(a) + 1.0)
-        return math.log(_variance_bracket(a, s) / s) - log_r2, noise
-
-    t_lo = math.log(max(BRACKET_EPS, 0.25 / r2))
-    t_hi = math.log(min(a_hi - 1.0, 1.0 / (math.pi * r2)))
-    t0, iterations, solved = _bracketed_root(h, t_lo, t_hi)
-    a0 = 1.0 + math.exp(t0)
-    s0 = S(a0)
-    b0 = mu0 * mu0 / s0
+    b0 = x * mu0 * mu0 * (1.0 + r2)
     if not (math.isfinite(b0) and b0 > 0.0):
         raise ValueError(
             f"mu0 = {mu0:g} gives a rate b0 = mu0^2/S(a0) = {b0:g}, "
             "outside the double range"
         )
-    params = GammaParams(a=a0, b=b0)
+    params = GammaParams(a=1.0 + x, b=b0)
 
     round_trip = sd_moments(params)
     rel_err = (
@@ -192,13 +191,14 @@ def fit_prior(mu0: float, sigma0: float) -> FitResult:
         and rel_err[0] < ROUND_TRIP_TOL
         and rel_err[1] < ROUND_TRIP_TOL
     )
-    d0 = _residual_given_S(a0, s0, mu0, sigma0)
+    g0 = _g(x)
+    h0 = math.log(g0 / (r2 * x))
     return FitResult(
         params=params,
-        objective_at_min=math.log1p(d0 * d0),
-        residual_D=d0,
+        objective_at_min=math.log1p(h0 * h0),
+        residual_D=_residual(x, g0, mu0, sigma0),
         round_trip=round_trip,
         round_trip_rel_err=rel_err,
         converged=converged,
-        iterations=iterations,
+        iterations=evals - 1,
     )

@@ -19,7 +19,6 @@ from itertools import chain, groupby
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .distributions import NumericalDegeneracyError
 from .elicitation import fit_prior
 
 __all__ = [
@@ -119,7 +118,7 @@ def _log_spaced(lo: float, hi: float, n: int) -> list[float]:
 def _run_cell(mu: float, sigma: float) -> CellResult:
     try:
         fit = fit_prior(mu, sigma)
-    except (ValueError, NumericalDegeneracyError, OverflowError):
+    except (ValueError, OverflowError):
         nan = float("nan")
         return CellResult(mu, sigma, nan, nan, nan, nan,
                           float("inf"), float("inf"), False)

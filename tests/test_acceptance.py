@@ -1,5 +1,6 @@
 """Acceptance gate: one test per headline criterion, each printing a
-PASS/FAIL line (run with -s to see them on success).
+PASS/FAIL line (run with -s to see them on success), plus a 40-digit
+mpmath round trip over the paper's small-ratio band.
 
 The full-resolution 1000 x 1000 sweep is opt-in: pytest -m long.
 """
@@ -25,6 +26,7 @@ from gammasd import (
     upper_bound_a,
     write_csv,
 )
+from mp_oracle import sd_moments as mp_sd_moments
 from quadrature import integrate
 
 mp.mp.dps = 30
@@ -65,6 +67,24 @@ def test_criterion_1_cutoff_region_reduced_grid():
 def test_criterion_1_cutoff_region_full_grid():
     failing = _cutoff_cells_all_pass(1000, 1000, workers=None)
     _report(1, "cut-off region, full 1000x1000 grid", not failing)
+
+
+def test_small_ratio_band_round_trips_against_mpmath():
+    # The paper's grid reaches sigma/mu = 1e-4, below the robust region.
+    # Every cell of a reduced grid over that band must converge, and its
+    # prior must reproduce the target within 1 % by a 40-digit oracle.
+    spec = GridSpec(mu_points=8, sigma_points=12,
+                    sigma_ratio_lo=1e-4, sigma_ratio_hi=3e-3)
+    bad = []
+    for cell in run_grid(spec):
+        ok = cell.passed
+        if ok:
+            mu, sigma = mp_sd_moments(cell.a0, cell.b0)
+            ok = (abs(mu - cell.mu) < 1e-2 * cell.mu
+                  and abs(sigma - cell.sigma) < 1e-2 * cell.sigma)
+        if not ok:
+            bad.append((cell.mu, cell.sigma / cell.mu))
+    assert not bad, f"{len(bad)} of 96 cells fail: {bad[:5]}"
 
 
 def test_criterion_2_worked_example():

@@ -4,12 +4,13 @@ the benchmark's per-layer mode, so these tests read perfbench/ (without
 changing it) and check that the interface it uses still exists."""
 
 import ast
+import csv
 import importlib.util
 import inspect
 from pathlib import Path
 
 import gammasd
-from gammasd.cli import _build_parser
+from gammasd.cli import _build_parser, run
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -63,9 +64,27 @@ def test_call_shapes_bind():
     assert not rejected
 
 
-def test_cli_accepts_validate_argv():
+def _benchlib():
     spec = importlib.util.spec_from_file_location("benchlib", PERFBENCH / "benchlib.py")
     benchlib = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(benchlib)
-    args = _build_parser().parse_args(benchlib.validate_argv("x.csv"))
+    return benchlib
+
+
+def test_cli_accepts_validate_argv():
+    args = _build_parser().parse_args(_benchlib().validate_argv("x.csv"))
     assert args.subcommand == "validate" and args.out == "x.csv"
+
+
+def test_validate_run_gives_what_the_benchmark_reads(tmp_path, capsys):
+    # run.py parses these stdout keys and CSV columns of the sweep workload;
+    # layers.py takes len() and repr() of run_grid's result
+    path = tmp_path / "cells.csv"
+    assert run(_benchlib().validate_argv(str(path))) == 0
+    printed = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    assert {"cells", "passed", "cutoff_region_pass", "pass_rectangle"} <= set(printed)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == int(printed["cells"])
+    assert {"mu", "sigma", "a0", "b0", "passed"} <= set(rows[0])
+    assert isinstance(gammasd.run_grid(gammasd.GridSpec(mu_points=2, sigma_points=2)), list)

@@ -3,9 +3,10 @@ import math
 
 import pytest
 
-from gammasd import optimize
+from gammasd import elicitation
 from gammasd.cli import run
 from gammasd.validation import CSV_HEADER
+from mp_oracle import sd_moments as mp_sd_moments
 
 
 def parse_plain(text):
@@ -29,10 +30,21 @@ class TestForward:
         assert "a <= 1" in err
 
     def test_shape_beyond_log_gamma_range(self, capsys):
-        # log-gamma overflows to inf for both a - 1/2 and a
-        assert run(["forward", "--a", "1e306", "--b", "1"]) == 1
-        err = capsys.readouterr().err
-        assert "shape a=1e+306" in err
+        # log-gamma is +inf for both a - 1/2 and a; the SD moments are not
+        assert run(["forward", "--a", "1e306", "--b", "1"]) == 0
+        out = parse_plain(capsys.readouterr().out)
+        mu, sigma = mp_sd_moments(1e306, 1.0)
+        assert (mu, sigma) == pytest.approx((1e-153, 5e-307), rel=1e-12)
+        assert float(out["mu"]) == pytest.approx(mu, rel=1e-12)
+        assert float(out["sigma"]) == pytest.approx(sigma, rel=1e-12)
+
+    def test_large_shape_sigma(self, capsys):
+        # 1/(a - 1) - S(a) cancels 8 digits here; the printed 12 must hold
+        assert run(["forward", "--a", "1e8", "--b", "1e8"]) == 0
+        out = parse_plain(capsys.readouterr().out)
+        assert out["sigma"] == "5.00000004688e-05"
+        assert float(out["sigma"]) == pytest.approx(
+            mp_sd_moments(1e8, 1e8)[1], rel=1e-11)
 
     def test_json_matches_plain(self, capsys):
         run(["forward", "--a", "3", "--b", "1.5"])
@@ -52,8 +64,8 @@ class TestInverse:
         assert out["converged"] == "True"
 
     def test_nonconvergence_exit_code(self, monkeypatch, capsys):
-        # one optimiser iteration cannot satisfy the round-trip criterion
-        monkeypatch.setattr(optimize, "_MAX_ITER", 1)
+        # one iteration cannot converge the shape solve
+        monkeypatch.setattr(elicitation, "_MAX_ITER", 1)
         code = run(["inverse", "--mu", "1.2533", "--sigma", "0.6551"])
         assert code == 2
         out = parse_plain(capsys.readouterr().out)
@@ -166,7 +178,8 @@ class TestValidate:
         assert len(lines) == 37
 
     def test_failing_region_exit_code(self, capsys):
-        # the sigma/mu ~ 1e-4 corner is inside this sweep and fails
+        # sigma/mu <= 1e-3 samples no cell of the robust region, whose
+        # verdict is then false
         code = run(
             ["validate", "--mu-points", "3", "--sigma-points", "3",
              "--mu-lo", "0.01", "--mu-hi", "100",

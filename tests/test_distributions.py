@@ -12,6 +12,7 @@ from gammasd import (
     sd_moments,
     sd_pdf,
 )
+from mp_oracle import sd_moments as mp_sd_moments
 from quadrature import integrate
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -131,6 +132,19 @@ class TestSdMoments:
         ).value
         assert summary.mu == pytest.approx(m1, rel=1e-8)
         assert summary.sigma**2 == pytest.approx(m2 - m1 * m1, rel=1e-8)
+
+    def test_against_mpmath_up_to_large_shapes(self):
+        # 1/(a - 1) - S(a) loses about log10(4a) digits to cancellation,
+        # which a kernel that subtracts the two would show at large a
+        bad = []
+        for i in range(60):
+            a = 1.01 * (1e12 / 1.01) ** (i / 59)
+            got = sd_moments(GammaParams(a, 2.5))
+            mu, sigma = mp_sd_moments(a, 2.5)
+            if not (abs(got.mu - mu) <= 1e-10 * mu
+                    and abs(got.sigma - sigma) <= 1e-10 * sigma):
+                bad.append(a)
+        assert not bad
 
     @pytest.mark.parametrize("a", [1.0, 0.5, 0.99])
     def test_validity_boundary(self, a):

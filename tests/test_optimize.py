@@ -85,52 +85,3 @@ class TestOptimResult:
         res = OptimResult(x_min=1.0, f_min=2.0, iterations=3, converged=True)
         assert res.x_min == 1.0 and res.iterations == 3
 
-
-def exact(f):
-    """f with a zero rounding-error bound, as _bracketed_root expects."""
-    return lambda x: (f(x), 0.0)
-
-
-class TestBracketedRoot:
-    def test_cube_root(self):
-        x, iterations, converged = optimize._bracketed_root(
-            exact(lambda x: x**3 - 2.0), 0.0, 2.0)
-        assert converged
-        assert x == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-10)
-        assert iterations < 20
-
-    def test_iterations_count_evaluations(self):
-        calls = 0
-
-        def f(x):
-            nonlocal calls
-            calls += 1
-            return math.cos(x) - x, 0.0
-
-        _, iterations, _ = optimize._bracketed_root(f, 0.0, 1.0)
-        assert calls == iterations + 1
-
-    def test_stops_within_the_noise_bound(self):
-        # |f| within the stated error bound ends the search before the
-        # bracket is narrow
-        x, iterations, converged = optimize._bracketed_root(
-            lambda x: (x - 0.3, 1e-3), 0.0, 1.0)
-        assert converged
-        assert abs(x - 0.3) <= 1e-3
-        assert iterations <= 2
-
-    def test_same_sign_endpoints(self):
-        with pytest.raises(ValueError, match="no sign change"):
-            optimize._bracketed_root(exact(lambda x: x * x + 1.0), -1.0, 2.0)
-        # an endpoint within its error bound is accepted as the root
-        x, iterations, converged = optimize._bracketed_root(
-            lambda x: (x * x + 1e-12, 1e-9), 0.0, 2.0)
-        assert (x, iterations, converged) == (0.0, 1, True)
-
-    def test_iteration_limit_reports_nonconvergence(self, monkeypatch):
-        monkeypatch.setattr(optimize, "_MAX_ITER", 3)
-        x, iterations, converged = optimize._bracketed_root(
-            exact(lambda x: math.exp(x) - 2.0), -5.0, 5.0)
-        assert not converged
-        assert iterations == 3
-        assert -5.0 <= x <= 5.0

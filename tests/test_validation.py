@@ -100,9 +100,9 @@ class TestRunGrid:
         assert cell.rel_err_mu < 1e-10 and cell.rel_err_sigma < 1e-10
 
     def test_degenerate_cell_recorded_not_raised(self):
-        # sigma/mu = 1e-4 pushes the shape root beyond double precision
+        # sigma/mu = 1e5 is beyond the analytic bound's range (infeasible)
         spec = GridSpec(mu_points=1, sigma_points=1, mu_lo=1.0, mu_hi=2.0,
-                        sigma_ratio_lo=1e-4, sigma_ratio_hi=2e-4)
+                        sigma_ratio_lo=1e5, sigma_ratio_hi=2e5)
         [cell] = run_grid(spec)
         assert not cell.passed
         assert math.isnan(cell.a0)
