@@ -6,7 +6,7 @@ Subcommands:
   pdf       tabulate the precision or SD density as CSV
   validate  run the round-trip grid, write CSV, print a summary
 
-Exit codes: 0 success, 1 usage or domain error, 2 numerical
+Exit codes: 0 success, 1 usage, domain or file error, 2 numerical
 non-convergence. Results go to stdout, diagnostics to stderr.
 """
 
@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .distributions import GammaParams, precision_pdf, sd_moments, sd_pdf
 from .elicitation import fit_prior
-from .validation import GridSpec, run_grid, summarize, write_csv
+from .validation import GridSpec, _cells, _written, summarize
 
 __all__ = ["run", "main"]
 
@@ -141,10 +141,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         sigma_ratio_lo=args.ratio_lo,
         sigma_ratio_hi=args.ratio_hi,
     )
-    results = run_grid(spec, workers=args.workers)
-    if args.out is not None:
-        write_csv(results, args.out)
-    summary = summarize(results)
+    cells = _cells(spec, args.workers)
+    if args.out is None:
+        summary = summarize(cells)
+    else:
+        # opened before the first cell is solved, so a bad path fails fast
+        with open(args.out, "w", newline="") as fh:
+            summary = summarize(_written(cells, fh))
 
     print(f"cells {summary.n_cells}")
     print(f"passed {summary.n_passed}")
@@ -176,7 +179,7 @@ def run(argv: Sequence[str]) -> int:
     }
     try:
         return handlers[args.subcommand](args)
-    except (_UsageError, ValueError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,6 +18,7 @@ as b0 = x0 (mu0^2 + sigma0^2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .distributions import GammaParams, SdSummary, _g, sd_moments
@@ -34,8 +35,8 @@ __all__ = [
     "fit_prior",
 ]
 
-# D is singular at a = 1; fit_prior rejects targets whose analytic upper
-# bound on a0 does not exceed 1 by more than this.
+# D is singular at a = 1; [1 + BRACKET_EPS, upper_bound_a(mu0, sigma0)]
+# brackets its root inside the robust region (acceptance criterion 4).
 BRACKET_EPS = 1e-9
 
 # Pass threshold on the round-trip relative errors (1 %).
@@ -54,7 +55,6 @@ class FitResult:
     objective_at_min is log1p(h0^2), where h0 = log(g(x0) / (r^2 x0)) is
     the dimensionless residual of the shape equation at the fit (x0 = a0 - 1,
     r = sigma0/mu0); it does not depend on the scale of the targets.
-    residual_D is residual_D(a0, mu0, sigma0), in units of mu0^2.
     round_trip holds sd_moments(params) recomputed from the fit, and
     round_trip_rel_err the relative errors of that round trip against the
     targets (mu first). converged requires both the fixed-point iteration
@@ -64,7 +64,6 @@ class FitResult:
 
     params: GammaParams
     objective_at_min: float
-    residual_D: float
     round_trip: SdSummary
     round_trip_rel_err: tuple[float, float]
     converged: bool
@@ -105,10 +104,7 @@ def residual_D(a: float, mu0: float, sigma0: float) -> float:
     if a <= 1.0:
         raise ValueError(f"residual_D requires a > 1, got {a}")
     x = a - 1.0
-    return _residual(x, _g(x), mu0, sigma0)
-
-
-def _residual(x: float, g: float, mu0: float, sigma0: float) -> float:
+    g = _g(x)
     return (x + g) * (mu0 * mu0 - sigma0 * sigma0 * x / g)
 
 
@@ -138,27 +134,21 @@ def fit_prior(mu0: float, sigma0: float) -> FitResult:
     when a plain step moves x by at most 1e-12 relative, so a0 depends only
     on sigma0/mu0. Then b0 = x0 (mu0^2 + sigma0^2), and the SD moments are
     recomputed as a round-trip check. Non-convergence within the iteration
-    cap is reported through converged=False, not raised. ValueError is
-    raised when the analytic upper bound upper_bound_a(mu0, sigma0) is not
-    finite or at or below 1 + BRACKET_EPS (sigma0/mu0 below about 1e-77 or
-    above about 1.79e4), and for a b0 outside the double range.
+    cap, or a round trip off by 1 % or more (from sigma0/mu0 of about 1e7,
+    as a0 - 1 nears the rounding of a0), gives converged=False, not an
+    error. ValueError is raised for sigma0/mu0 below about 4.2e-155 (the
+    bound 1/(pi r^2) on x0 overflows) or above about 5.35e7 (a0 rounds to
+    1), and for a b0 outside the double range.
     """
     _validate_targets(mu0, sigma0)
     r = sigma0 / mu0
-    a_lo = 1.0 + BRACKET_EPS
-    a_hi = upper_bound_a(mu0, sigma0)
-    if not math.isfinite(a_hi):
+    r2 = r * r
+    if r2 * math.pi * sys.float_info.max <= 1.0:
         raise ValueError(
-            f"infeasible bracket: upper bound {a_hi} is not finite "
+            f"infeasible target: 1/(pi r^2) overflows "
             f"(sigma0/mu0 = {r:g} is too small)"
         )
-    if a_hi <= a_lo:
-        raise ValueError(
-            f"infeasible bracket: upper bound {a_hi} does not exceed {a_lo} "
-            f"(sigma0/mu0 = {r:g} is too large)"
-        )
 
-    r2 = r * r
     x, anchor, solved = 0.25 / r2, None, False
     for evals in range(1, _MAX_ITER + 2):
         x1 = _g(x) / r2
@@ -172,6 +162,11 @@ def fit_prior(mu0: float, sigma0: float) -> FitResult:
             # is below 0.073, so the two steps cannot be equal.
             d0, d1 = x - anchor, x1 - x
             anchor, x = None, x1 - d1 * d1 / (d1 - d0)
+    if 1.0 + x == 1.0:
+        raise ValueError(
+            f"infeasible target: a0 - 1 = {x:g} vanishes beside 1 "
+            f"(sigma0/mu0 = {r:g} is too large)"
+        )
 
     b0 = x * mu0 * mu0 * (1.0 + r2)
     if not (math.isfinite(b0) and b0 > 0.0):
@@ -191,12 +186,10 @@ def fit_prior(mu0: float, sigma0: float) -> FitResult:
         and rel_err[0] < ROUND_TRIP_TOL
         and rel_err[1] < ROUND_TRIP_TOL
     )
-    g0 = _g(x)
-    h0 = math.log(g0 / (r2 * x))
+    h0 = math.log(_g(x) / (r2 * x))
     return FitResult(
         params=params,
         objective_at_min=math.log1p(h0 * h0),
-        residual_D=_residual(x, g0, mu0, sigma0),
         round_trip=round_trip,
         round_trip_rel_err=rel_err,
         converged=converged,

@@ -4,9 +4,9 @@ Each cell maps (mu, sigma) to prior parameters, maps back through the
 closed-form SD moments, and passes when the fit converged (both
 round-trip relative errors below 1 %). Per-cell numerical failures are
 recorded as failed cells; the sweep itself never aborts. Cells are
-independent, so the grid may be evaluated concurrently; results are
-always assembled in row-major (mu index, sigma index) order, making the
-output identical regardless of the degree of concurrency.
+independent, so the grid may be evaluated concurrently; they are streamed
+in row-major (mu index, sigma index) order, one row of cells held at a
+time, so the output is identical whatever the degree of concurrency.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, TextIO
 
 from .elicitation import fit_prior
 
@@ -141,79 +141,88 @@ def _run_row(args: tuple[float, GridSpec]) -> list[CellResult]:
     return [_run_cell(mu, sigma) for sigma in spec.sigma_values(mu)]
 
 
-def run_grid(spec: GridSpec, workers: int | None = 1) -> list[CellResult]:
-    """Evaluate the sweep; returns mu_points * sigma_points cells in
-    row-major order. workers > 1 (or None for the CPU count) spreads the
-    mu rows over at most min(workers, mu rows, CPU count) processes; the
-    result is identical either way. workers < 1 raises ValueError."""
+def _cells(spec: GridSpec, workers: int | None) -> Iterator[CellResult]:
+    """The cells of run_grid, lazily; workers is checked on the call. A pool
+    takes every row at once and returns rows in order, so the rows held stay
+    few only while the consumer keeps up with the workers."""
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     cpus = os.cpu_count() or 1
     rows = [(mu, spec) for mu in spec.mu_values()]
     n_workers = min(cpus if workers is None else workers, len(rows), cpus)
     if n_workers == 1:
-        return list(chain.from_iterable(map(_run_row, rows)))
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(chain.from_iterable(pool.map(_run_row, rows, chunksize=8)))
+        return chain.from_iterable(map(_run_row, rows))
+
+    def pooled() -> Iterator[CellResult]:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            yield from chain.from_iterable(pool.map(_run_row, rows, chunksize=8))
+
+    return pooled()
 
 
-def _largest_pass_rectangle(
-    rows: list[list[CellResult]],
-) -> tuple[float, float, float, float] | None:
-    """Maximal-area all-pass rectangle, area measured in grid indices
-    (uniform in log space). Classic histogram-stack scan over rows."""
-    n_cols = len(rows[0])
-    best_area = 0
-    best = None  # (row_lo, row_hi, col_lo, col_hi)
-    heights = [0] * n_cols
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row):
-            heights[j] = heights[j] + 1 if cell.passed else 0
+def run_grid(spec: GridSpec, workers: int | None = 1) -> list[CellResult]:
+    """Evaluate the sweep; returns mu_points * sigma_points cells in
+    row-major order. workers > 1 (or None for the CPU count) spreads the
+    mu rows over at most min(workers, mu rows, CPU count) processes; the
+    result is identical either way. workers < 1 raises ValueError."""
+    return list(_cells(spec, workers))
+
+
+def summarize(results: Iterable[CellResult]) -> GridSummary:
+    """Pass counts, the largest fully-passing log-rectangle and the
+    published-region verdict, in one pass over cells in row-major order
+    from any iterable. Cells of one mu form a row; one row is held at a
+    time. The rectangle has maximal area in grid indices (uniform in log
+    space), found by a histogram-stack scan over the rows."""
+    n_cells = n_passed = n_inside = n_inside_passed = 0
+    mus: list[float] = []
+    ratios: list[float] = []
+    heights: list[int] | None = None  # None once a row's length differs
+    best_area, best = 0, None  # best: (row_lo, row_hi, col_lo, col_hi)
+    for i, (mu, group) in enumerate(groupby(results, key=attrgetter("mu"))):
+        row = list(group)
+        if i == 0:
+            ratios = [c.sigma / c.mu for c in row]
+            heights = [0] * len(row)
+        mus.append(mu)
+        n_cells += len(row)
+        for c in row:
+            n_passed += c.passed
+            if (CUTOFF_MU[0] < c.mu < CUTOFF_MU[1]
+                    and CUTOFF_RATIO[0] < c.sigma / c.mu < CUTOFF_RATIO[1]):
+                n_inside += 1
+                n_inside_passed += c.passed
+        if heights is None or len(row) != len(heights):
+            heights = None
+            continue
+        heights = [h + 1 if c.passed else 0 for h, c in zip(heights, row)]
         stack: list[int] = []
         j = 0
-        while j <= n_cols:
-            h = heights[j] if j < n_cols else 0
+        while j <= len(row):
+            h = heights[j] if j < len(row) else 0
             if not stack or heights[stack[-1]] <= h:
                 stack.append(j)
                 j += 1
                 continue
             top = stack.pop()
-            width = j - (stack[-1] + 1 if stack else 0)
-            area = heights[top] * width
+            col_lo = stack[-1] + 1 if stack else 0
+            area = heights[top] * (j - col_lo)
             if area > best_area:
-                col_lo = stack[-1] + 1 if stack else 0
                 best_area = area
                 best = (i - heights[top] + 1, i, col_lo, j - 1)
-    if best is None:
-        return None
-    r0, r1, c0, c1 = best
-    ratios = [cell.sigma / cell.mu for cell in rows[0]]
-    return (rows[r0][0].mu, rows[r1][0].mu, ratios[c0], ratios[c1])
-
-
-def summarize(results: Sequence[CellResult]) -> GridSummary:
-    """Pass counts, the largest fully-passing log-rectangle and the
-    published-region verdict."""
-    if not results:
+    if not n_cells:
         raise ValueError("summarize requires a non-empty result collection")
-    n_passed = sum(1 for c in results if c.passed)
 
-    rows = [list(row) for _, row in groupby(results, key=attrgetter("mu"))]
-    rectangular = len({len(r) for r in rows}) == 1
-    rect = _largest_pass_rectangle(rows) if rectangular else None
-
-    inside = [
-        c.passed for c in results
-        if CUTOFF_MU[0] < c.mu < CUTOFF_MU[1]
-        and CUTOFF_RATIO[0] < c.sigma / c.mu < CUTOFF_RATIO[1]
-    ]
-
+    rect = None
+    if heights is not None and best is not None:
+        r0, r1, c0, c1 = best
+        rect = (mus[r0], mus[r1], ratios[c0], ratios[c1])
     return GridSummary(
-        n_cells=len(results),
+        n_cells=n_cells,
         n_passed=n_passed,
-        pass_fraction=n_passed / len(results),
+        pass_fraction=n_passed / n_cells,
         pass_rectangle=rect,
-        cutoff_region_pass=bool(inside) and all(inside),
+        cutoff_region_pass=0 < n_inside == n_inside_passed,
     )
 
 
@@ -221,14 +230,22 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _written(cells: Iterable[CellResult], fh: TextIO) -> Iterator[CellResult]:
+    """Pass cells through, writing the CSV header to fh first and then the
+    row of each cell as it goes by."""
+    fh.write(CSV_HEADER + "\n")
+    for c in cells:
+        reals = (c.mu, c.sigma, c.a0, c.b0, c.mu_rt, c.sigma_rt,
+                 c.rel_err_mu, c.rel_err_sigma)
+        passed = "true" if c.passed else "false"
+        fh.write(",".join([*map(_fmt, reals), passed, passed]) + "\n")
+        yield c
+
+
 def write_csv(results: Iterable[CellResult], path: str) -> None:
     """Write one row per cell to the file at path after a fixed header,
     reals at 17 significant digits, booleans as true/false, input order
     preserved."""
     with open(path, "w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for c in results:
-            reals = (c.mu, c.sigma, c.a0, c.b0, c.mu_rt, c.sigma_rt,
-                     c.rel_err_mu, c.rel_err_sigma)
-            passed = "true" if c.passed else "false"
-            fh.write(",".join([*map(_fmt, reals), passed, passed]) + "\n")
+        for _ in _written(results, fh):
+            pass

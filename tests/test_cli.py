@@ -1,9 +1,10 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from gammasd import elicitation
+from gammasd import GridSpec, elicitation, run_grid, summarize, validation, write_csv
 from gammasd.cli import run
 from gammasd.validation import CSV_HEADER
 from mp_oracle import sd_moments as mp_sd_moments
@@ -72,7 +73,7 @@ class TestInverse:
         assert out["converged"] == "False"
 
     def test_infeasible_target(self, capsys):
-        assert run(["inverse", "--mu", "1", "--sigma", "1e5"]) == 1
+        assert run(["inverse", "--mu", "1", "--sigma", "1e8"]) == 1
         assert "infeasible" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -196,6 +197,70 @@ class TestValidate:
         assert run(args + ["--out", str(first)]) == 0
         assert run(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_unwritable_out_path(self, tmp_path, monkeypatch, capsys):
+        def no_cell(mu, sigma):
+            raise AssertionError("a cell was solved before the file was opened")
+
+        monkeypatch.setattr(validation, "_run_cell", no_cell)
+        code = run(["validate", "--mu-points", "2", "--sigma-points", "2",
+                    "--out", str(tmp_path / "missing" / "cells.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_stream_matches_run_grid(self, workers, tmp_path, capsys):
+        # sigma/mu reaches 1e9, so the last column fails and the rectangle
+        # is a strict part of the grid
+        spec = GridSpec(mu_points=4, sigma_points=6, mu_lo=0.01, mu_hi=100.0,
+                        sigma_ratio_lo=0.01, sigma_ratio_hi=1e9)
+        streamed, listed = tmp_path / "streamed.csv", tmp_path / "listed.csv"
+        code = run(["validate", "--mu-points", "4", "--sigma-points", "6",
+                    "--mu-lo", "0.01", "--mu-hi", "100", "--ratio-lo", "0.01",
+                    "--ratio-hi", "1e9", "--workers", workers, "--out", str(streamed)])
+        printed = parse_plain(capsys.readouterr().out)
+        results = run_grid(spec)
+        write_csv(results, str(listed))
+        assert streamed.read_bytes() == listed.read_bytes()
+        summary = summarize(results)
+        lo_mu, hi_mu, lo_r, hi_r = summary.pass_rectangle
+        assert hi_r < spec.sigma_ratio_hi
+        assert code == (0 if summary.cutoff_region_pass else 2)
+        assert printed == {
+            "cells": str(summary.n_cells),
+            "passed": str(summary.n_passed),
+            "pass_fraction": f"{summary.pass_fraction:.6f}",
+            "pass_rectangle": f"mu [{lo_mu:.12g}, {hi_mu:.12g}] "
+                              f"ratio [{lo_r:.12g}, {hi_r:.12g}]",
+            "cutoff_region_pass": str(summary.cutoff_region_pass).lower(),
+        }
+
+    def test_memory_holds_rows_not_grid(self, tmp_path, capsys):
+        # The serial sweep streams cells through the CSV writer and the
+        # summary, so ten times the rows may cost a few rows' bytes more,
+        # not ten times the grid's.
+        def peak(mu_points):
+            argv = ["validate", "--mu-points", str(mu_points), "--sigma-points", "40",
+                    "--workers", "1", "--out", str(tmp_path / "cells.csv")]
+            tracemalloc.start()
+            try:
+                run(argv)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        tracemalloc.start()
+        try:
+            row = run_grid(GridSpec(mu_points=1, sigma_points=40))
+            row_bytes = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(row) == 40
+        peak(4)  # first run pays for lazy imports and caches
+        growth = peak(40) - peak(4)
+        capsys.readouterr()
+        assert growth < 3 * row_bytes, (growth, row_bytes)
 
 
 class TestUsageErrors:

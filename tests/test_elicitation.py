@@ -17,6 +17,7 @@ from gammasd import (
     upper_bound_a,
 )
 from gammasd import elicitation
+from mp_oracle import sd_moments as mp_sd_moments
 
 # Forward map of (a, b) = (2, 2)
 MU_22 = 1.2533141373155003
@@ -24,7 +25,7 @@ SIGMA_22 = 0.6551363775620335
 
 
 def bisect_root(mu0, sigma0):
-    """Independent bisection of residual_D on the fit bracket."""
+    """Independent bisection of residual_D on the analytic bracket."""
     lo, hi = 1.0 + BRACKET_EPS, upper_bound_a(mu0, sigma0)
     d_lo = residual_D(lo, mu0, sigma0)
     d_hi = residual_D(hi, mu0, sigma0)
@@ -151,10 +152,23 @@ class TestFitPrior:
         )
 
     def test_infeasible_bracket(self):
-        # sigma/mu so large that the analytic upper bound collapses onto
-        # the lower bracket edge
+        # sigma/mu so large that a0 - 1 (about 3e-17) rounds away beside 1
         with pytest.raises(ValueError, match="infeasible"):
-            fit_prior(1.0, 1e5)
+            fit_prior(1.0, 1e8)
+
+    @pytest.mark.parametrize(
+        "ratio, tol",
+        [
+            (1e5, 1e-6),     # beyond upper_bound_a's range (about 1.79e4)
+            (1e6, 1e-3),     # a0 - 1 = 3e-13 keeps only ~4 digits in a0
+            (1e-100, 1e-12), # upper_bound_a overflows below about 1e-77
+        ],
+    )
+    def test_extreme_ratio_round_trips_against_mpmath(self, ratio, tol):
+        fit = fit_prior(1.0, ratio)
+        assert fit.converged
+        mu, sigma = mp_sd_moments(fit.params.a, fit.params.b)
+        assert abs(mu - 1.0) <= tol and abs(sigma - ratio) <= tol * ratio
 
     def test_nonconvergence_is_reported_not_raised(self, monkeypatch):
         monkeypatch.setattr(elicitation, "_MAX_ITER", 1)
@@ -195,8 +209,8 @@ class TestFitPrior:
     def test_log_gamma_calls_follow_iterations(self, monkeypatch):
         # Every gamma ratio goes through the kernel _g: the solve evaluates
         # it iterations + 1 times, and the closing residual and sd_moments
-        # once each. Over the whole feasible ratio range at most six
-        # evaluations are needed.
+        # once each. Over sigma/mu in [1e-4, 1.7e4] at most six evaluations
+        # are needed.
         import gammasd.distributions
 
         calls = 0

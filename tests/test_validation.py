@@ -100,9 +100,9 @@ class TestRunGrid:
         assert cell.rel_err_mu < 1e-10 and cell.rel_err_sigma < 1e-10
 
     def test_degenerate_cell_recorded_not_raised(self):
-        # sigma/mu = 1e5 is beyond the analytic bound's range (infeasible)
+        # sigma/mu = 1e8 is infeasible: a0 - 1 rounds away beside 1
         spec = GridSpec(mu_points=1, sigma_points=1, mu_lo=1.0, mu_hi=2.0,
-                        sigma_ratio_lo=1e5, sigma_ratio_hi=2e5)
+                        sigma_ratio_lo=1e8, sigma_ratio_hi=2e8)
         [cell] = run_grid(spec)
         assert not cell.passed
         assert math.isnan(cell.a0)
@@ -202,6 +202,35 @@ class TestSummarize:
     def test_empty_input(self):
         with pytest.raises(ValueError):
             summarize([])
+        with pytest.raises(ValueError):
+            summarize(iter([]))
+
+    def test_one_pass_over_an_iterator(self):
+        mixed = [make_cell(mu, ratio * mu, passed=(i >= 1 and j >= 1))
+                 for i, mu in enumerate([1.0, 2.0, 4.0])
+                 for j, ratio in enumerate([0.1, 0.2, 0.4])]
+        fixtures = [
+            mixed,
+            [make_cell(1.0, 0.5), make_cell(1.0, 1.0),
+             make_cell(2.0, 1.0), make_cell(2.0, 2.0)],
+            [make_cell(1.0, 1.0, passed=False), make_cell(2.0, 2.0, passed=False)],
+            [make_cell(1e-4, 1e-5, passed=False), make_cell(1.0, 0.5),
+             make_cell(1.0, 1e3, passed=False), make_cell(10.0, 1.0)],
+        ]
+        for cells in fixtures:
+            assert summarize(iter(cells)) == summarize(cells)
+
+    def test_non_rectangular_input(self):
+        # the second row is shorter than the first: no rectangle, but the
+        # counts and the verdict still cover every cell
+        cells = [make_cell(1.0, 0.5), make_cell(1.0, 1.0),
+                 make_cell(2.0, 1.0, passed=False),
+                 make_cell(4.0, 2.0), make_cell(4.0, 4.0)]
+        summary = summarize(iter(cells))
+        assert summary.pass_rectangle is None
+        assert (summary.n_cells, summary.n_passed) == (5, 4)
+        assert summary.pass_fraction == 0.8
+        assert summary.cutoff_region_pass is False
 
     @pytest.mark.parametrize(
         "cells, expected",
