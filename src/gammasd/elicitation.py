@@ -28,7 +28,6 @@ __all__ = [
     "ROUND_TRIP_TOL",
     "FitResult",
     "S",
-    "S_hat",
     "residual_D",
     "objective",
     "upper_bound_a",
@@ -79,13 +78,6 @@ def S(a: float) -> float:
     return 1.0 / (x + _g(x))
 
 
-def S_hat(a: float) -> float:
-    """Two-term large-a series of S: 1/a + 3/(4 a^2)."""
-    if a <= 0.0:
-        raise ValueError(f"S_hat requires a > 0, got {a}")
-    return 1.0 / a + 3.0 / (4.0 * a * a)
-
-
 def _validate_targets(mu0: float, sigma0: float) -> None:
     if not (math.isfinite(mu0) and mu0 > 0.0):
         raise ValueError(f"mu0 must be finite and > 0, got {mu0}")
@@ -115,7 +107,8 @@ def objective(a: float, mu0: float, sigma0: float) -> float:
 
 
 def upper_bound_a(mu0: float, sigma0: float) -> float:
-    """Analytic upper bound for the shape root, from the series S_hat.
+    """Analytic upper bound for the shape root, from the two-term large-a
+    series 1/a + 3/(4 a^2) of S.
 
     Depends only on the ratio mu0/sigma0 and tends to 1 as that ratio
     tends to 0.

@@ -6,14 +6,15 @@ round-trip relative errors below 1 %). Per-cell numerical failures are
 recorded as failed cells; the sweep itself never aborts. Cells are
 independent, so the grid may be evaluated concurrently; they are streamed
 in row-major (mu index, sigma index) order, one row of cells held at a
-time, so the output is identical whatever the degree of concurrency.
+time (two per worker with a pool), so the output is identical whatever
+the degree of concurrency.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import attrgetter
@@ -25,7 +26,6 @@ __all__ = [
     "GridSpec",
     "CellResult",
     "GridSummary",
-    "CSV_HEADER",
     "run_grid",
     "summarize",
     "write_csv",
@@ -143,8 +143,7 @@ def _run_row(args: tuple[float, GridSpec]) -> list[CellResult]:
 
 def _cells(spec: GridSpec, workers: int | None) -> Iterator[CellResult]:
     """The cells of run_grid, lazily; workers is checked on the call. A pool
-    takes every row at once and returns rows in order, so the rows held stay
-    few only while the consumer keeps up with the workers."""
+    has at most two rows per worker in flight and returns rows in order."""
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     cpus = os.cpu_count() or 1
@@ -154,8 +153,16 @@ def _cells(spec: GridSpec, workers: int | None) -> Iterator[CellResult]:
         return chain.from_iterable(map(_run_row, rows))
 
     def pooled() -> Iterator[CellResult]:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            yield from chain.from_iterable(pool.map(_run_row, rows, chunksize=8))
+            window: deque = deque()
+            for row in rows:
+                if len(window) == 2 * n_workers:
+                    yield from window.popleft().result()
+                window.append(pool.submit(_run_row, row))
+            while window:
+                yield from window.popleft().result()
 
     return pooled()
 

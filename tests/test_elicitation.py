@@ -9,7 +9,6 @@ from gammasd import (
     BRACKET_EPS,
     GammaParams,
     S,
-    S_hat,
     fit_prior,
     objective,
     residual_D,
@@ -47,8 +46,6 @@ class TestS:
         assert S(1.5) == pytest.approx(4.0 / math.pi, rel=1e-14)
 
     def test_large_argument_matches_series(self):
-        # the two-term series is accurate to O(a^-3) here
-        assert S(1000.0) == pytest.approx(S_hat(1000.0), rel=1e-6)
         assert S(1000.0) == pytest.approx(1.0007505316017789e-3, rel=1e-12)
 
     @pytest.mark.parametrize("a", [1.0, 0.5, -1.0])
@@ -59,19 +56,6 @@ class TestS:
     def test_positive(self):
         for a in [1.0 + 1e-9, 1.1, 2.0, 50.0, 5000.0]:
             assert S(a) > 0.0
-
-
-class TestSHat:
-    @pytest.mark.parametrize(
-        "a, expected", [(1.0, 1.75), (2.0, 0.6875), (10.0, 0.1075)]
-    )
-    def test_values(self, a, expected):
-        assert S_hat(a) == pytest.approx(expected, rel=1e-14)
-
-    @pytest.mark.parametrize("a", [0.0, -2.0])
-    def test_domain(self, a):
-        with pytest.raises(ValueError):
-            S_hat(a)
 
 
 class TestResidualD:

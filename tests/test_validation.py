@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+from concurrent.futures import Future
 
 import pytest
 
@@ -151,10 +153,12 @@ class TestRunGrid:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
-        monkeypatch.setattr(validation, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(validation.os, "cpu_count", lambda: cpus)
         spec = small_spec(n=rows, m=2)
         results = run_grid(spec, workers=workers)
@@ -166,9 +170,49 @@ class TestRunGrid:
         def no_pool(max_workers):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(validation, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ValueError, match="workers"):
             run_grid(small_spec(n=2, m=2), workers=workers)
+
+    def test_pool_keeps_two_rows_per_worker_in_flight(self, monkeypatch):
+        pools = []
+        in_flight = []  # rows submitted and not yet read
+        peaks = []  # len(in_flight) after each submit
+
+        class CountedFuture(Future):
+            def result(self, timeout=None):
+                in_flight.remove(self)
+                return super().result(timeout)
+
+        class FakePool:
+            # solves each row on submit; the row is in flight until read
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = CountedFuture()
+                future.set_result(fn(*args))
+                in_flight.append(future)
+                peaks.append(len(in_flight))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(validation.os, "cpu_count", lambda: 4)
+        spec = small_spec(n=12, m=3)
+        cells = []
+        for cell in validation._cells(spec, workers=2):
+            # read one cell at a time: the window must not grow meanwhile
+            assert len(in_flight) <= 2 * 2
+            cells.append(cell)
+        assert pools == [2]
+        assert len(peaks) == 12 and max(peaks) <= 2 * 2
+        assert cells == run_grid(spec, workers=1)
 
 
 class TestSummarize:
