@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from typing import Sequence
 
 from .distributions import GammaParams, precision_pdf, sd_moments, sd_pdf
@@ -82,12 +83,14 @@ def _build_parser() -> _Parser:
     pdf.add_argument("--points", type=int, required=True)
 
     val = sub.add_parser("validate", help="round-trip validation sweep")
-    val.add_argument("--mu-points", type=int, default=1000)
-    val.add_argument("--sigma-points", type=int, default=1000)
-    val.add_argument("--mu-lo", type=_positive, default=1e-4)
-    val.add_argument("--mu-hi", type=_positive, default=1e4)
-    val.add_argument("--ratio-lo", type=_positive, default=1e-4)
-    val.add_argument("--ratio-hi", type=_positive, default=1e2)
+    val.add_argument("--mu-points", type=int, default=GridSpec.mu_points)
+    val.add_argument("--sigma-points", type=int, default=GridSpec.sigma_points)
+    val.add_argument("--mu-lo", type=_positive, default=GridSpec.mu_lo)
+    val.add_argument("--mu-hi", type=_positive, default=GridSpec.mu_hi)
+    val.add_argument("--ratio-lo", dest="sigma_ratio_lo", type=_positive,
+                     default=GridSpec.sigma_ratio_lo)
+    val.add_argument("--ratio-hi", dest="sigma_ratio_hi", type=_positive,
+                     default=GridSpec.sigma_ratio_hi)
     val.add_argument("--workers", type=int, default=1)
     val.add_argument("--out", default=None, help="CSV destination file")
 
@@ -133,14 +136,7 @@ def _cmd_pdf(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    spec = GridSpec(
-        mu_points=args.mu_points,
-        sigma_points=args.sigma_points,
-        mu_lo=args.mu_lo,
-        mu_hi=args.mu_hi,
-        sigma_ratio_lo=args.ratio_lo,
-        sigma_ratio_hi=args.ratio_hi,
-    )
+    spec = GridSpec(**{f.name: getattr(args, f.name) for f in fields(GridSpec)})
     cells = _cells(spec, args.workers)
     if args.out is None:
         summary = summarize(cells)

@@ -63,6 +63,13 @@ class GridSpec:
             raise ValueError("need 0 < mu_lo < mu_hi")
         if not 0.0 < self.sigma_ratio_lo < self.sigma_ratio_hi:
             raise ValueError("need 0 < sigma_ratio_lo < sigma_ratio_hi")
+        # summarize tells rows apart by mu, so no two rows may share one
+        mus = self.mu_values()
+        if any(lo >= hi for lo, hi in zip(mus, mus[1:])):
+            raise ValueError(
+                f"mu_lo = {self.mu_lo!r}, mu_hi = {self.mu_hi!r} and "
+                f"mu_points = {self.mu_points} give repeated mu values"
+            )
 
     def mu_values(self) -> list[float]:
         return _log_spaced(self.mu_lo, self.mu_hi, self.mu_points)

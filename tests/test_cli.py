@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from gammasd import GridSpec, elicitation, run_grid, summarize, validation, write_csv
+from gammasd import cli
 from gammasd.cli import run
 from gammasd.validation import CSV_HEADER
 from mp_oracle import sd_moments as mp_sd_moments
@@ -197,6 +198,27 @@ class TestValidate:
         assert run(args + ["--out", str(first)]) == 0
         assert run(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_defaults_are_gridspec_defaults(self, monkeypatch, capsys):
+        seen = []
+
+        def one_cell(spec, workers):
+            seen.append(spec)
+            return validation._cells(GridSpec(mu_points=1, sigma_points=1), workers)
+
+        monkeypatch.setattr(cli, "_cells", one_cell)
+        cli._cmd_validate(cli._build_parser().parse_args(["validate"]))
+        assert seen == [GridSpec()]
+
+    def test_repeated_mu_values_rejected(self, capsys):
+        code = run(["validate", "--mu-points", "3", "--sigma-points", "2",
+                    "--mu-lo", "1", "--mu-hi", "1.0000000000000002",
+                    "--ratio-lo", "0.5", "--ratio-hi", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "mu_points" in captured.err
 
     def test_unwritable_out_path(self, tmp_path, monkeypatch, capsys):
         def no_cell(mu, sigma):

@@ -60,6 +60,8 @@ class TestGridSpec:
             {"mu_lo": 0.0},
             {"mu_lo": 10.0, "mu_hi": 1.0},
             {"sigma_ratio_lo": 2.0, "sigma_ratio_hi": 1.0},
+            # exp rounds the middle of three log-spaced mu values to mu_lo
+            {"mu_points": 3, "mu_lo": 1.0, "mu_hi": 1.0000000000000002},
         ],
     )
     def test_rejects_invalid(self, overrides):
