@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "mu,sigma,a0,b0,mu_rt,sigma_rt,rel_err_mu,rel_err_sigma,converged,passed"
+_CSV_ROW = "%.17g," * 8 + "%s,%s\n"
 
 # Robust operating region suggested by the full sweep: the inverse
 # transform is reliable for 2e-3 < mu < 1e4 and 3e-3 < sigma/mu < 50.
@@ -240,19 +241,14 @@ def summarize(results: Iterable[CellResult]) -> GridSummary:
     )
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _written(cells: Iterable[CellResult], fh: TextIO) -> Iterator[CellResult]:
     """Pass cells through, writing the CSV header to fh first and then the
     row of each cell as it goes by."""
     fh.write(CSV_HEADER + "\n")
     for c in cells:
-        reals = (c.mu, c.sigma, c.a0, c.b0, c.mu_rt, c.sigma_rt,
-                 c.rel_err_mu, c.rel_err_sigma)
         passed = "true" if c.passed else "false"
-        fh.write(",".join([*map(_fmt, reals), passed, passed]) + "\n")
+        fh.write(_CSV_ROW % (c.mu, c.sigma, c.a0, c.b0, c.mu_rt, c.sigma_rt,
+                             c.rel_err_mu, c.rel_err_sigma, passed, passed))
         yield c
 
 

@@ -325,6 +325,21 @@ class TestWriteCsv:
         line = csv_bytes([make_cell(mu, mu)]).splitlines()[1]
         assert float(line.split(",")[0]) == mu
 
+    def test_degenerate_cell_row(self, csv_bytes):
+        # sigma/mu = 1e9 is infeasible (a0 rounds to 1)
+        line = csv_bytes([validation._run_cell(1.0, 1e9)]).splitlines()[1]
+        assert line == "1,1000000000,nan,nan,nan,nan,inf,inf,false,false"
+
+    def test_edge_values_row(self, csv_bytes):
+        cell = CellResult(
+            mu=-0.0, sigma=5e-324, a0=1.7976931348623157e308, b0=0.1, mu_rt=1e16,
+            sigma_rt=2.5e-310, rel_err_mu=0.0, rel_err_sigma=-1e-300, passed=True,
+        )
+        assert csv_bytes([cell]).splitlines()[1] == (
+            "-0,4.9406564584124654e-324,1.7976931348623157e+308,0.10000000000000001,"
+            "10000000000000000,2.5000000000000171e-310,0,-1e-300,true,true"
+        )
+
     def test_writes_to_path(self, tmp_path):
         destination = tmp_path / "grid.csv"
         write_csv([make_cell(1.0, 1.0)], str(destination))
