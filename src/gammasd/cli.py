@@ -13,7 +13,6 @@ non-convergence. Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import fields
@@ -50,8 +49,9 @@ def _fmt(x: float) -> str:
 
 def _emit(pairs: list[tuple[str, object]], mode: str) -> None:
     if mode == "json":
-        payload = {k: v for k, v in pairs}
-        print(json.dumps(payload))
+        import json
+
+        print(json.dumps(dict(pairs)))
     else:
         for key, value in pairs:
             if isinstance(value, float):

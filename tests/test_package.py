@@ -25,3 +25,11 @@ def test_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_loads_no_json():
+    # only --output json needs the json module
+    code = "import gammasd.cli, sys; print('json' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
