@@ -67,10 +67,8 @@ class GridSpec:
         # summarize tells rows apart by mu, so no two rows may share one
         mus = self.mu_values()
         if any(lo >= hi for lo, hi in zip(mus, mus[1:])):
-            raise ValueError(
-                f"mu_lo = {self.mu_lo!r}, mu_hi = {self.mu_hi!r} and "
-                f"mu_points = {self.mu_points} give repeated mu values"
-            )
+            raise ValueError(f"mu_lo = {self.mu_lo!r}, mu_hi = {self.mu_hi!r} and "
+                             f"mu_points = {self.mu_points} give repeated mu values")
 
     def mu_values(self) -> list[float]:
         return _log_spaced(self.mu_lo, self.mu_hi, self.mu_points)
