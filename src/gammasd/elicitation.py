@@ -11,8 +11,8 @@ puts g in (1/4, 1/pi], so the map takes every x > 0 into
 magnitude (0.064 at most at the fixed point): it is a contraction with
 exactly one fixed point for every r > 0. Steffensen's method (Aitken
 extrapolation of each pair of plain steps; Steffensen 1933) finds it from
-x = 1/(4 r^2), and the rate follows from the identity E[s^2] = b/(a - 1)
-as b0 = x0 (mu0^2 + sigma0^2).
+x = 1/(4 r^2). The rate is the forward map mu^2 = b S(a) solved for b:
+b0 = mu0^2 / S(a0) = mu0^2 (x0 + g(x0)).
 """
 
 from __future__ import annotations
@@ -125,13 +125,13 @@ def fit_prior(mu0: float, sigma0: float) -> FitResult:
     x0 = a0 - 1 is the fixed point of x = g(x) / r^2, r = sigma0/mu0,
     found by Steffensen's method from Watson's end x = 1/(4 r^2). It stops
     when a plain step moves x by at most 1e-12 relative, so a0 depends only
-    on sigma0/mu0. Then b0 = x0 (mu0^2 + sigma0^2), and the SD moments are
-    recomputed as a round-trip check. Non-convergence within the iteration
-    cap, or a round trip off by 1 % or more (from sigma0/mu0 of about 1e7,
-    as a0 - 1 nears the rounding of a0), gives converged=False, not an
-    error. ValueError is raised for sigma0/mu0 below about 4.2e-155 (the
-    bound 1/(pi r^2) on x0 overflows) or above about 5.35e7 (a0 rounds to
-    1), and for a b0 outside the double range.
+    on sigma0/mu0. Then b0 = mu0^2 / S(a0) = (x0 + g(x0)) mu0^2, and the
+    SD moments are recomputed as a round-trip check. Non-convergence within
+    the iteration cap, or a round trip off by 1 % or more (from sigma0/mu0
+    of about 1e7, as a0 - 1 nears the rounding of a0), gives
+    converged=False, not an error. ValueError is raised for sigma0/mu0
+    below about 4.2e-155 (the bound 1/(pi r^2) on x0 overflows) or above
+    about 5.35e7 (a0 rounds to 1), and for a b0 outside the double range.
     """
     _validate_targets(mu0, sigma0)
     r = sigma0 / mu0
@@ -161,7 +161,8 @@ def fit_prior(mu0: float, sigma0: float) -> FitResult:
             f"(sigma0/mu0 = {r:g} is too large)"
         )
 
-    b0 = x * mu0 * mu0 * (1.0 + r2)
+    g = _g(x)
+    b0 = (x + g) * mu0 * mu0
     if not (math.isfinite(b0) and b0 > 0.0):
         raise ValueError(
             f"mu0 = {mu0:g} gives a rate b0 = mu0^2/S(a0) = {b0:g}, "
@@ -179,7 +180,7 @@ def fit_prior(mu0: float, sigma0: float) -> FitResult:
         and rel_err[0] < ROUND_TRIP_TOL
         and rel_err[1] < ROUND_TRIP_TOL
     )
-    h0 = math.log(_g(x) / (r2 * x))
+    h0 = math.log(g / (r2 * x))
     return FitResult(
         params=params,
         objective_at_min=math.log1p(h0 * h0),

@@ -183,6 +183,24 @@ class TestFitPrior:
         assert scaled.params.a == base.params.a
         assert scaled.params.b == 4.0**k * base.params.b
 
+    @pytest.mark.parametrize("mu, tol", [(1e-158, 1e-7), (1e-152, 1e-15)])
+    def test_rate_at_tiny_scale_with_tiny_shape(self, mu, tol):
+        # sigma/mu = 1e5 puts a0 - 1 near 3e-11; b0 near mu^2/pi must not
+        # underflow on the way, even where it is subnormal (3.2e-317 at
+        # mu = 1e-158, which keeps about 7 digits)
+        fit = fit_prior(mu, 1e5 * mu)
+        assert fit.converged
+        assert fit.round_trip_rel_err[0] <= tol
+
+    def test_rate_round_trips_mu_to_rounding(self):
+        # b0 inverts mu^2 = b S(a) exactly as sd_moments evaluates it
+        worst = 0.0
+        for mu in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            for i in range(2001):
+                fit = fit_prior(mu, 10.0 ** (-4 + 10 * i / 2000) * mu)
+                worst = max(worst, fit.round_trip_rel_err[0])
+        assert worst <= 4e-15
+
     @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
     def test_objective_at_min_is_dimensionless(self, scale):
         # log1p(h0^2) of the dimensionless residual h0: tiny at any scale
