@@ -128,6 +128,9 @@ def _cmd_pdf(args: argparse.Namespace) -> int:
     params = GammaParams(a=args.a, b=args.b)
     density = precision_pdf if args.dist == "precision" else sd_pdf
     step = (args.x1 - args.x0) / (args.points - 1)
+    # every x lies between --from and the last x, which an inf bound or step spoils
+    if not math.isfinite(args.x0 + (args.points - 1) * step):
+        raise _UsageError("--from, --to and the points between them must be finite")
     print("x,density")
     for i in range(args.points):
         x = args.x0 + i * step

@@ -107,8 +107,8 @@ def precision_pdf(p: float, params: GammaParams) -> float:
 
     Evaluated in log space and exponentiated last so b^a cannot overflow.
     """
-    if p <= 0.0:
-        return 0.0
+    if not 0.0 < p < math.inf:
+        return 0.0 if p == p else p  # 0 off the support and at +inf; nan stays nan
     a, b = params.a, params.b
     log_pdf = a * math.log(b) - log_gamma(a) + (a - 1.0) * math.log(p) - p * b
     return math.exp(log_pdf)
@@ -153,9 +153,15 @@ def sd_moments(params: GammaParams) -> SdSummary:
     a, b = params.a, params.b
     if a <= 1.0:
         raise ValueError(f"SD moments undefined for a <= 1 (got a={a})")
-    x = a - 1.0
-    g = _g(x)
+    root_c, cv = _sd_shape_factors(a)
     # sqrt(b) / sqrt(x + g): b / (x + g) alone overflows for b near the
     # largest double and a near 1
-    mu = math.sqrt(b) / math.sqrt(x + g)
-    return SdSummary(mu=mu, sigma=mu * math.sqrt(g / x))
+    mu = math.sqrt(b) / root_c
+    return SdSummary(mu, mu * cv)  # positional: keywords cost about 0.2 us here
+
+
+def _sd_shape_factors(a: float) -> tuple[float, float]:
+    """sqrt(x + g) and sqrt(g / x) at x = a - 1 > 0: the SD moments' shape part."""
+    x = a - 1.0
+    g = _g(x)
+    return math.sqrt(x + g), math.sqrt(g / x)

@@ -12,7 +12,9 @@ magnitude (0.064 at most at the fixed point): it is a contraction with
 exactly one fixed point for every r > 0. Steffensen's method (Aitken
 extrapolation of each pair of plain steps; Steffensen 1933) finds it from
 x = 1/(4 r^2). The rate is the forward map mu^2 = b S(a) solved for b:
-b0 = mu0^2 / S(a0) = mu0^2 (x0 + g(x0)).
+b0 = mu0^2 / S(a0) = mu0^2 (x0 + g(x0)). fit_prior is a shape step on r
+alone (_solve_shape) and a scale step from mu0, sigma0 and that shape to b0
+and the round trip (_scale); a validation sweep solves each distinct r once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .distributions import GammaParams, SdSummary, _g, sd_moments
+from .distributions import GammaParams, SdSummary, _g, _sd_shape_factors
 
 __all__ = [
     "BRACKET_EPS",
@@ -119,22 +121,10 @@ def upper_bound_a(mu0: float, sigma0: float) -> float:
     return 0.125 * (1.0 + math.sqrt(49.0 + r * r + 50.0 * r) + r)
 
 
-def fit_prior(mu0: float, sigma0: float) -> FitResult:
-    """Recover (a0, b0) for a target SD summary (mu0, sigma0).
-
-    x0 = a0 - 1 is the fixed point of x = g(x) / r^2, r = sigma0/mu0,
-    found by Steffensen's method from Watson's end x = 1/(4 r^2). It stops
-    when a plain step moves x by at most 1e-12 relative, so a0 depends only
-    on sigma0/mu0. Then b0 = mu0^2 / S(a0) = (x0 + g(x0)) mu0^2, and the
-    SD moments are recomputed as a round-trip check. Non-convergence within
-    the iteration cap, or a round trip off by 1 % or more (from sigma0/mu0
-    of about 1e7, as a0 - 1 nears the rounding of a0), gives
-    converged=False, not an error. ValueError is raised for sigma0/mu0
-    below about 4.2e-155 (the bound 1/(pi r^2) on x0 overflows) or above
-    about 5.35e7 (a0 rounds to 1), and for a b0 outside the double range.
-    """
-    _validate_targets(mu0, sigma0)
-    r = sigma0 / mu0
+def _solve_shape(r: float) -> tuple[float, float, float, float, float, int, bool]:
+    """Shape step, on r = sigma0/mu0 alone: x0 = a0 - 1, g(x0), a0, the round
+    trip's factors of a0 (see _sd_shape_factors), the kernel evaluations of
+    the solve and whether it converged."""
     r2 = r * r
     if r2 * math.pi * sys.float_info.max <= 1.0:
         raise ValueError(
@@ -160,32 +150,48 @@ def fit_prior(mu0: float, sigma0: float) -> FitResult:
             f"infeasible target: a0 - 1 = {x:g} vanishes beside 1 "
             f"(sigma0/mu0 = {r:g} is too large)"
         )
+    a0 = 1.0 + x
+    root_c, cv = _sd_shape_factors(a0)
+    return x, _g(x), a0, root_c, cv, evals, solved
 
-    g = _g(x)
+
+def _scale(mu0: float, sigma0: float, shape: tuple) -> tuple:
+    """Scale step, from the targets and _solve_shape(sigma0/mu0): b0, the
+    round trip (mu_rt, sigma_rt), its two relative errors and converged."""
+    x, g, _, root_c, cv, _, solved = shape
     b0 = (x + g) * mu0 * mu0
     if not (math.isfinite(b0) and b0 > 0.0):
         raise ValueError(
             f"mu0 = {mu0:g} gives a rate b0 = mu0^2/S(a0) = {b0:g}, "
             "outside the double range"
         )
-    params = GammaParams(a=1.0 + x, b=b0)
+    mu_rt = math.sqrt(b0) / root_c  # as in sd_moments
+    sigma_rt = mu_rt * cv
+    rel_mu = abs(mu_rt - mu0) / mu0
+    rel_sigma = abs(sigma_rt - sigma0) / sigma0
+    converged = solved and rel_mu < ROUND_TRIP_TOL and rel_sigma < ROUND_TRIP_TOL
+    return b0, mu_rt, sigma_rt, rel_mu, rel_sigma, converged
 
-    round_trip = sd_moments(params)
-    rel_err = (
-        abs(round_trip.mu - mu0) / mu0,
-        abs(round_trip.sigma - sigma0) / sigma0,
-    )
-    converged = (
-        solved
-        and rel_err[0] < ROUND_TRIP_TOL
-        and rel_err[1] < ROUND_TRIP_TOL
-    )
-    h0 = math.log(g / (r2 * x))
-    return FitResult(
-        params=params,
-        objective_at_min=math.log1p(h0 * h0),
-        round_trip=round_trip,
-        round_trip_rel_err=rel_err,
-        converged=converged,
-        iterations=evals - 1,
-    )
+
+def fit_prior(mu0: float, sigma0: float) -> FitResult:
+    """Recover (a0, b0) for a target SD summary (mu0, sigma0).
+
+    x0 = a0 - 1 is the fixed point of x = g(x) / r^2, r = sigma0/mu0,
+    found by Steffensen's method from Watson's end x = 1/(4 r^2). It stops
+    when a plain step moves x by at most 1e-12 relative, so a0 depends only
+    on sigma0/mu0. Then b0 = mu0^2 / S(a0) = (x0 + g(x0)) mu0^2, and the
+    SD moments are recomputed as a round-trip check. Non-convergence within
+    the iteration cap, or a round trip off by 1 % or more (from sigma0/mu0
+    of about 1e7, as a0 - 1 nears the rounding of a0), gives
+    converged=False, not an error. ValueError is raised for sigma0/mu0
+    below about 4.2e-155 (the bound 1/(pi r^2) on x0 overflows) or above
+    about 5.35e7 (a0 rounds to 1), and for a b0 outside the double range.
+    """
+    _validate_targets(mu0, sigma0)
+    r = sigma0 / mu0
+    x, g, a0, _, _, evals, _ = shape = _solve_shape(r)
+    b0, mu_rt, sigma_rt, rel_mu, rel_sigma, converged = _scale(mu0, sigma0, shape)
+    h0 = math.log(g / (r * r * x))
+    # positional: keywords to these three dataclasses cost about 0.5 us a fit
+    return FitResult(GammaParams(a0, b0), math.log1p(h0 * h0), SdSummary(mu_rt, sigma_rt),
+                     (rel_mu, rel_sigma), converged, evals - 1)

@@ -10,17 +10,17 @@ time (two per worker with a pool), so the output is identical whatever
 the degree of concurrency.
 """
 
-from __future__ import annotations
-
+# no postponed annotations: CellResult's would each compile to a ForwardRef
 import math
 import os
+import struct
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import attrgetter
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .elicitation import fit_prior
+from .elicitation import _scale, _solve_shape, _validate_targets
 
 __all__ = [
     "GridSpec",
@@ -33,6 +33,8 @@ __all__ = [
 
 CSV_HEADER = "mu,sigma,a0,b0,mu_rt,sigma_rt,rel_err_mu,rel_err_sigma,converged,passed"
 _CSV_ROW = "%.17g," * 8 + "%s,%s\n"
+# A sweep's cached shape step: 88 B packed, about 300 B as a tuple of floats.
+_PACKED_SHAPE = struct.Struct("5dq?")
 
 # Robust operating region suggested by the full sweep: the inverse
 # transform is reliable for 2e-3 < mu < 1e4 and 3e-3 < sigma/mu < 50.
@@ -79,11 +81,10 @@ class GridSpec:
         )
 
 
-@dataclass(frozen=True)
-class CellResult:
-    """Outcome of the round trip at one (mu, sigma) grid point. passed is
-    the fit's converged flag; the CSV writes it to both the converged and
-    the passed column."""
+class CellResult(NamedTuple):
+    """Outcome of the round trip at one (mu, sigma) grid point: fit_prior's
+    fields, as a tuple. passed is the fit's converged flag; the CSV writes
+    it to both the converged and the passed column."""
 
     mu: float
     sigma: float
@@ -121,30 +122,27 @@ def _log_spaced(lo: float, hi: float, n: int) -> list[float]:
     return values
 
 
-def _run_cell(mu: float, sigma: float) -> CellResult:
+def _run_cell(mu: float, sigma: float, shapes: dict | None = None) -> CellResult:
+    """fit_prior(mu, sigma) as a cell. shapes maps each sigma/mu solved so far
+    to its packed shape step, or to None where that step raised."""
+    shapes = {} if shapes is None else shapes
     try:
-        fit = fit_prior(mu, sigma)
+        _validate_targets(mu, sigma)
+        r = sigma / mu
+        if r not in shapes:
+            shapes[r] = None
+            shapes[r] = _PACKED_SHAPE.pack(*_solve_shape(r))
+        if shapes[r] is not None:
+            shape = _PACKED_SHAPE.unpack(shapes[r])
+            return CellResult(mu, sigma, shape[2], *_scale(mu, sigma, shape))
     except (ValueError, OverflowError):
-        nan = float("nan")
-        return CellResult(mu, sigma, nan, nan, nan, nan,
-                          float("inf"), float("inf"), False)
-    rel_mu, rel_sigma = fit.round_trip_rel_err
-    return CellResult(
-        mu=mu,
-        sigma=sigma,
-        a0=fit.params.a,
-        b0=fit.params.b,
-        mu_rt=fit.round_trip.mu,
-        sigma_rt=fit.round_trip.sigma,
-        rel_err_mu=rel_mu,
-        rel_err_sigma=rel_sigma,
-        passed=fit.converged,
-    )
+        pass
+    return CellResult(mu, sigma, *(math.nan,) * 4, math.inf, math.inf, False)
 
 
-def _run_row(args: tuple[float, GridSpec]) -> list[CellResult]:
+def _run_row(args: tuple[float, GridSpec], shapes: dict) -> list[CellResult]:
     mu, spec = args
-    return [_run_cell(mu, sigma) for sigma in spec.sigma_values(mu)]
+    return [_run_cell(mu, sigma, shapes) for sigma in spec.sigma_values(mu)]
 
 
 def _cells(spec: GridSpec, workers: int | None) -> Iterator[CellResult]:
@@ -156,7 +154,8 @@ def _cells(spec: GridSpec, workers: int | None) -> Iterator[CellResult]:
     rows = [(mu, spec) for mu in spec.mu_values()]
     n_workers = min(cpus if workers is None else workers, len(rows), cpus)
     if n_workers == 1:
-        return chain.from_iterable(map(_run_row, rows))
+        shapes: dict = {}  # one per run; each pool row gets its own
+        return chain.from_iterable(_run_row(row, shapes) for row in rows)
 
     def pooled() -> Iterator[CellResult]:
         from concurrent.futures import ProcessPoolExecutor
@@ -166,7 +165,7 @@ def _cells(spec: GridSpec, workers: int | None) -> Iterator[CellResult]:
             for row in rows:
                 if len(window) == 2 * n_workers:
                     yield from window.popleft().result()
-                window.append(pool.submit(_run_row, row))
+                window.append(pool.submit(_run_row, row, {}))
             while window:
                 yield from window.popleft().result()
 

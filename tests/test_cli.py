@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -161,6 +162,27 @@ class TestPdf:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [["--from", "0", "--to", "inf"], ["--from=-inf", "--to", "0"],
+         ["--from=-1.7e308", "--to", "1.7e308"]],
+    )
+    def test_non_finite_points_rejected(self, bounds, capsys):
+        # an infinite bound or an overflowing step would print nan x values
+        code = run(["pdf", "--dist", "precision", "--a", "2", "--b", "2",
+                    *bounds, "--points", "3"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_widest_finite_range_accepted(self, capsys):
+        code = run(["pdf", "--dist", "sd", "--a", "2", "--b", "2", "--from", "0",
+                    "--to", "1.7976931348623157e308", "--points", "3"])
+        assert code == 0
+        xs = [float(line.split(",")[0]) for line in capsys.readouterr().out.splitlines()[1:]]
+        assert xs == [0.0, 8.9884656743115785e307, 1.7976931348623157e308]
+
 
 class TestValidate:
     def test_reduced_grid_summary_and_csv(self, tmp_path, capsys):
@@ -283,6 +305,25 @@ class TestValidate:
         growth = peak(40) - peak(4)
         capsys.readouterr()
         assert growth < 3 * row_bytes, (growth, row_bytes)
+
+
+class TestValidateBytes:
+    # SHA-256 of the CSV and stdout of `validate --mu-points 48
+    # --sigma-points 48`, computed before the sweep reused each sigma/mu's
+    # shape solve. The digests depend on the platform's libm (lgamma, exp,
+    # log, expm1). A deliberate numeric change updates them and records
+    # the change in CHANGES.md.
+    CSV_SHA256 = "5e4a4698732dbec6c1a0ae6cfbd57972f4b5f09ccd9cbc7d88b89eba0e3d4622"
+    STDOUT_SHA256 = "d978dc0bed7136760ea7387a07afa97d9e7e3cd79e884cb9f90c8437849b6676"
+
+    def test_48x48_output_is_pinned(self, tmp_path, capsys):
+        out_file = tmp_path / "cells.csv"
+        code = run(["validate", "--mu-points", "48", "--sigma-points", "48",
+                    "--out", str(out_file)])
+        assert code == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == self.CSV_SHA256
+        assert hashlib.sha256(stdout).hexdigest() == self.STDOUT_SHA256
 
 
 class TestUsageErrors:

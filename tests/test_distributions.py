@@ -51,6 +51,16 @@ class TestPrecisionPdf:
     def test_outside_support(self, p):
         assert precision_pdf(p, GammaParams(2.0, 2.0)) == 0.0
 
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_zero_at_infinity(self, a):
+        # as sd_pdf; (a - 1) log(p) - p b alone is inf - inf there
+        assert precision_pdf(math.inf, GammaParams(a, 2.0)) == 0.0
+        assert precision_pdf(-math.inf, GammaParams(a, 2.0)) == 0.0
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_nan_propagates(self, a):
+        assert math.isnan(precision_pdf(math.nan, GammaParams(a, 2.0)))
+
     def test_large_shape_no_overflow(self):
         # b^a would overflow without log-space evaluation
         value = precision_pdf(1.0, GammaParams(500.0, 500.0))

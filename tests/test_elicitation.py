@@ -234,6 +234,41 @@ class TestFitPrior:
             assert calls == (fit.iterations + 1) + 2, ratio
             assert fit.iterations + 1 <= 6, ratio
 
+    def test_every_call_solves(self, monkeypatch):
+        # fit_prior keeps no memo: two identical calls cost twice the
+        # kernel evaluations of one
+        import gammasd.distributions
+
+        calls = 0
+        real = gammasd.distributions._g
+
+        def counting(x):
+            nonlocal calls
+            calls += 1
+            return real(x)
+
+        monkeypatch.setattr(elicitation, "_g", counting)
+        monkeypatch.setattr(gammasd.distributions, "_g", counting)
+        fit_prior(1.0, 0.5)
+        one, calls = calls, 0
+        fit_prior(1.0, 0.5)
+        fit_prior(1.0, 0.5)
+        assert one > 0 and calls == 2 * one
+
+    def test_round_trip_is_sd_moments_of_params(self):
+        # the scale step's round trip is sd_moments, bit for bit
+        rng = random.Random(20210117)
+        checked = 0
+        for _ in range(500):
+            mu = 10.0 ** rng.uniform(-160.0, 160.0)
+            try:
+                fit = fit_prior(mu, mu * 10.0 ** rng.uniform(-170.0, 9.0))
+            except ValueError:
+                continue
+            assert sd_moments(fit.params) == fit.round_trip
+            checked += 1
+        assert checked > 250
+
 
 class TestAgainstIndependentOracles:
     def test_upper_bound_brackets_root_on_grid(self):

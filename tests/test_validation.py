@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import random
 from concurrent.futures import Future
 
 import pytest
@@ -344,3 +345,85 @@ class TestWriteCsv:
         destination = tmp_path / "grid.csv"
         write_csv([make_cell(1.0, 1.0)], str(destination))
         assert destination.read_text().splitlines()[0] == CSV_HEADER
+
+
+def fit_cell(mu, sigma):
+    """The cell that fit_prior(mu, sigma) gives, or None where it raises."""
+    try:
+        fit = fit_prior(mu, sigma)
+    except ValueError:
+        return None
+    return CellResult(mu, sigma, fit.params.a, fit.params.b, fit.round_trip.mu,
+                      fit.round_trip.sigma, *fit.round_trip_rel_err, fit.converged)
+
+
+def spread_targets(n=400, seed=20210117):
+    """Seeded (mu, sigma) pairs over mu in [1e-160, 1e160] and sigma/mu in
+    [1e-170, 1e9], with the failing ratios 1e9 and 1e-160 and the smallest
+    subnormal sigma added, each also scaled by 2, which keeps sigma/mu
+    bit-identical."""
+    rng = random.Random(seed)
+    targets = [(1.0, 1e9), (1.0, 1e-160), (3.0, 3e9), (1e-100, 1e-260), (1e-170, 5e-324)]
+    for _ in range(n):
+        mu = 10.0 ** rng.uniform(-160.0, 160.0)
+        targets.append((mu, mu * 10.0 ** rng.uniform(-170.0, 9.0)))
+    return targets + [(2.0 * mu, 2.0 * sigma) for mu, sigma in targets]
+
+
+class TestShapeReuse:
+    def test_one_shape_step_per_distinct_ratio(self, monkeypatch):
+        spec = GridSpec(mu_points=48, sigma_points=48)
+        ratios = {sigma / mu for mu in spec.mu_values() for sigma in spec.sigma_values(mu)}
+        calls = []
+        real = validation._solve_shape
+
+        def counting(r):
+            calls.append(r)
+            return real(r)
+
+        monkeypatch.setattr(validation, "_solve_shape", counting)
+        assert len(run_grid(spec)) == 48 * 48
+        assert len(ratios) == 399
+        assert len(calls) == 399 and set(calls) == ratios
+
+    def test_failing_ratio_solved_once(self, monkeypatch):
+        # sigma/mu = 1e9 raises in the shape step; the cache remembers it
+        calls = []
+        real = validation._solve_shape
+
+        def counting(r):
+            calls.append(r)
+            return real(r)
+
+        monkeypatch.setattr(validation, "_solve_shape", counting)
+        shapes = {}
+        cells = [validation._run_cell(mu, 1e9 * mu, shapes) for mu in (1.0, 2.0, 4.0)]
+        assert calls == [1e9]
+        assert not any(c.passed for c in cells)
+
+    def test_cells_equal_fit_prior_cold_and_warm(self):
+        targets = spread_targets()
+        expected = [fit_cell(mu, sigma) for mu, sigma in targets]
+        assert any(e is None for e in expected) and any(e is not None for e in expected)
+        shapes = {}
+        for warm in (False, True):
+            for (mu, sigma), want in zip(targets, expected):
+                for cell in (validation._run_cell(mu, sigma), validation._run_cell(mu, sigma, shapes)):
+                    if want is None:
+                        assert not cell.passed, (mu, sigma, warm)
+                        assert all(math.isnan(v) for v in cell[2:6])
+                        assert cell[6:8] == (math.inf, math.inf)
+                    else:
+                        assert cell == want, (mu, sigma, warm)
+
+
+class TestCellResult:
+    def test_named_tuple_contract(self):
+        cell = make_cell(1.0, 0.5)
+        assert cell == CellResult(1.0, 0.5, 2.0, 2.0, 1.0, 0.5, 0.0, 0.0, True)
+        assert cell._fields == ("mu", "sigma", "a0", "b0", "mu_rt", "sigma_rt",
+                                "rel_err_mu", "rel_err_sigma", "passed")
+        assert cell._replace(passed=False).passed is False
+        assert cell._asdict()["sigma"] == 0.5
+        with pytest.raises(AttributeError):
+            cell.mu = 2.0
