@@ -153,15 +153,16 @@ def sd_moments(params: GammaParams) -> SdSummary:
     a, b = params.a, params.b
     if a <= 1.0:
         raise ValueError(f"SD moments undefined for a <= 1 (got a={a})")
-    root_c, cv = _sd_shape_factors(a)
+    _, root_c, cv = _sd_shape_factors(a)
     # sqrt(b) / sqrt(x + g): b / (x + g) alone overflows for b near the
     # largest double and a near 1
     mu = math.sqrt(b) / root_c
     return SdSummary(mu, mu * cv)  # positional: keywords cost about 0.2 us here
 
 
-def _sd_shape_factors(a: float) -> tuple[float, float]:
-    """sqrt(x + g) and sqrt(g / x) at x = a - 1 > 0: the SD moments' shape part."""
+def _sd_shape_factors(a: float) -> tuple[float, float, float]:
+    """x + g (which is 1/S(a)), sqrt(x + g) and sqrt(g / x) at x = a - 1 > 0:
+    the shape part of the SD moments and of the rate b = mu^2 (x + g)."""
     x = a - 1.0
     g = _g(x)
-    return math.sqrt(x + g), math.sqrt(g / x)
+    return x + g, math.sqrt(x + g), math.sqrt(g / x)

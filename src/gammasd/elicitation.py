@@ -11,15 +11,17 @@ puts g in (1/4, 1/pi], so the map takes every x > 0 into
 magnitude (0.064 at most at the fixed point): it is a contraction with
 exactly one fixed point for every r > 0. Steffensen's method (Aitken
 extrapolation of each pair of plain steps; Steffensen 1933) finds it from
-x = 1/(4 r^2). The rate is the forward map mu^2 = b S(a) solved for b:
-b0 = mu0^2 / S(a0) = mu0^2 (x0 + g(x0)). fit_prior is a shape step on r
-alone (_solve_shape) and a scale step from mu0, sigma0 and that shape to b0
-and the round trip (_scale); a validation sweep solves each distinct r once.
+x = 1/(4 r^2). At a0 = 1 + x0 the rate solves the forward mean mu^2 = b S(a):
+b0 = mu0^2 (x + g(x)) at x = a0 - 1, which is mu0^2 / S(a0), and h0 is the
+residual of that a0. fit_prior is a shape step on r alone (_solve_shape) and
+a scale step from mu0, sigma0 and that shape to b0 and the round trip
+(_scale); a validation sweep solves each distinct r once.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass
 
@@ -48,14 +50,17 @@ ROUND_TRIP_TOL = 1e-2
 _STEP_TOL = 1e-12
 _MAX_ITER = 500
 
+# _solve_shape's tuple as a sweep keeps it: 74 B packed, 210 B as a tuple.
+_PACKED_SHAPE = struct.Struct("4dq?")
+
 
 @dataclass(frozen=True)
 class FitResult:
     """Recovered prior parameters plus solver diagnostics.
 
-    objective_at_min is log1p(h0^2), where h0 = log(g(x0) / (r^2 x0)) is
-    the dimensionless residual of the shape equation at the fit (x0 = a0 - 1,
-    r = sigma0/mu0); it does not depend on the scale of the targets.
+    objective_at_min is log1p(h0^2), where h0 = log(g(x) / (r^2 x)) is the
+    dimensionless residual of the shape equation at the returned a0
+    (x = a0 - 1, r = sigma0/mu0); it does not depend on the targets' scale.
     round_trip holds sd_moments(params) recomputed from the fit, and
     round_trip_rel_err the relative errors of that round trip against the
     targets (mu first). converged requires both the fixed-point iteration
@@ -76,8 +81,7 @@ def S(a: float) -> float:
     1/(x + g(x)) with x = a - 1."""
     if a <= 1.0:
         raise ValueError(f"S requires a > 1, got {a}")
-    x = a - 1.0
-    return 1.0 / (x + _g(x))
+    return 1.0 / _sd_shape_factors(a)[0]
 
 
 def _validate_targets(mu0: float, sigma0: float) -> None:
@@ -91,15 +95,14 @@ def residual_D(a: float, mu0: float, sigma0: float) -> float:
     """Residual whose root in a is the target shape a0.
 
     D(a) = mu0^2 / S(a) - sigma0^2 / (1/(a-1) - S(a)), evaluated without
-    cancellation as (x + g) (mu0^2 - sigma0^2 x / g) with x = a - 1 and
-    g = g(x). It decreases through its root and is defined for a > 1.
+    cancellation as (x + g) (mu0^2 - (sigma0 / sqrt(g / x))^2) with x = a - 1
+    and g = g(x). It decreases through its root and is defined for a > 1.
     """
     _validate_targets(mu0, sigma0)
     if a <= 1.0:
         raise ValueError(f"residual_D requires a > 1, got {a}")
-    x = a - 1.0
-    g = _g(x)
-    return (x + g) * (mu0 * mu0 - sigma0 * sigma0 * x / g)
+    c, _, cv = _sd_shape_factors(a)
+    return c * (mu0 * mu0 - (sigma0 / cv) ** 2)
 
 
 def objective(a: float, mu0: float, sigma0: float) -> float:
@@ -121,10 +124,10 @@ def upper_bound_a(mu0: float, sigma0: float) -> float:
     return 0.125 * (1.0 + math.sqrt(49.0 + r * r + 50.0 * r) + r)
 
 
-def _solve_shape(r: float) -> tuple[float, float, float, float, float, int, bool]:
-    """Shape step, on r = sigma0/mu0 alone: x0 = a0 - 1, g(x0), a0, the round
-    trip's factors of a0 (see _sd_shape_factors), the kernel evaluations of
-    the solve and whether it converged."""
+def _solve_shape(r: float) -> tuple[float, float, float, float, int, bool]:
+    """Shape step, on r = sigma0/mu0 alone: a0 = 1 + x0, the factors
+    _sd_shape_factors(a0) of b0, the round trip and h0, the kernel
+    evaluations of the solve and whether it converged."""
     r2 = r * r
     if r2 * math.pi * sys.float_info.max <= 1.0:
         raise ValueError(
@@ -151,15 +154,14 @@ def _solve_shape(r: float) -> tuple[float, float, float, float, float, int, bool
             f"(sigma0/mu0 = {r:g} is too large)"
         )
     a0 = 1.0 + x
-    root_c, cv = _sd_shape_factors(a0)
-    return x, _g(x), a0, root_c, cv, evals, solved
+    return (a0, *_sd_shape_factors(a0), evals, solved)
 
 
 def _scale(mu0: float, sigma0: float, shape: tuple) -> tuple:
-    """Scale step, from the targets and _solve_shape(sigma0/mu0): b0, the
-    round trip (mu_rt, sigma_rt), its two relative errors and converged."""
-    x, g, _, root_c, cv, _, solved = shape
-    b0 = (x + g) * mu0 * mu0
+    """Scale step, from the targets and _solve_shape(sigma0/mu0): a0, b0, the
+    round trip, its two relative errors and converged, as CellResult orders them."""
+    a0, c, root_c, cv, _, solved = shape
+    b0 = c * mu0 * mu0
     if not (math.isfinite(b0) and b0 > 0.0):
         raise ValueError(
             f"mu0 = {mu0:g} gives a rate b0 = mu0^2/S(a0) = {b0:g}, "
@@ -170,7 +172,7 @@ def _scale(mu0: float, sigma0: float, shape: tuple) -> tuple:
     rel_mu = abs(mu_rt - mu0) / mu0
     rel_sigma = abs(sigma_rt - sigma0) / sigma0
     converged = solved and rel_mu < ROUND_TRIP_TOL and rel_sigma < ROUND_TRIP_TOL
-    return b0, mu_rt, sigma_rt, rel_mu, rel_sigma, converged
+    return a0, b0, mu_rt, sigma_rt, rel_mu, rel_sigma, converged
 
 
 def fit_prior(mu0: float, sigma0: float) -> FitResult:
@@ -179,19 +181,20 @@ def fit_prior(mu0: float, sigma0: float) -> FitResult:
     x0 = a0 - 1 is the fixed point of x = g(x) / r^2, r = sigma0/mu0,
     found by Steffensen's method from Watson's end x = 1/(4 r^2). It stops
     when a plain step moves x by at most 1e-12 relative, so a0 depends only
-    on sigma0/mu0. Then b0 = mu0^2 / S(a0) = (x0 + g(x0)) mu0^2, and the
-    SD moments are recomputed as a round-trip check. Non-convergence within
-    the iteration cap, or a round trip off by 1 % or more (from sigma0/mu0
-    of about 1e7, as a0 - 1 nears the rounding of a0), gives
-    converged=False, not an error. ValueError is raised for sigma0/mu0
-    below about 4.2e-155 (the bound 1/(pi r^2) on x0 overflows) or above
-    about 5.35e7 (a0 rounds to 1), and for a b0 outside the double range.
+    on sigma0/mu0. At x = a0 - 1, b0 = mu0^2 (x + g(x)) = mu0^2 / S(a0), the
+    SD moments recomputed as a round-trip check and h0 (the residual of a0)
+    share one kernel evaluation. Non-convergence within the iteration cap,
+    or a round trip off by 1 % or more (from sigma0/mu0 of about 1e7, as
+    a0 - 1 nears the rounding of a0), gives converged=False, not an error.
+    ValueError is raised for sigma0/mu0 below about 4.2e-155 (the bound
+    1/(pi r^2) on x0 overflows) or above about 5.35e7 (a0 rounds to 1), and
+    for a b0 outside the double range.
     """
     _validate_targets(mu0, sigma0)
     r = sigma0 / mu0
-    x, g, a0, _, _, evals, _ = shape = _solve_shape(r)
-    b0, mu_rt, sigma_rt, rel_mu, rel_sigma, converged = _scale(mu0, sigma0, shape)
-    h0 = math.log(g / (r * r * x))
+    _, _, _, cv, evals, _ = shape = _solve_shape(r)
+    a0, b0, mu_rt, sigma_rt, rel_mu, rel_sigma, converged = _scale(mu0, sigma0, shape)
+    h0 = 2.0 * math.log(cv / r)
     # positional: keywords to these three dataclasses cost about 0.5 us a fit
     return FitResult(GammaParams(a0, b0), math.log1p(h0 * h0), SdSummary(mu_rt, sigma_rt),
                      (rel_mu, rel_sigma), converged, evals - 1)

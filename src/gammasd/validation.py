@@ -13,14 +13,13 @@ the degree of concurrency.
 # no postponed annotations: CellResult's would each compile to a ForwardRef
 import math
 import os
-import struct
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .elicitation import _scale, _solve_shape, _validate_targets
+from .elicitation import _PACKED_SHAPE, _scale, _solve_shape
 
 __all__ = [
     "GridSpec",
@@ -33,8 +32,6 @@ __all__ = [
 
 CSV_HEADER = "mu,sigma,a0,b0,mu_rt,sigma_rt,rel_err_mu,rel_err_sigma,converged,passed"
 _CSV_ROW = "%.17g," * 8 + "%s,%s\n"
-# A sweep's cached shape step: 88 B packed, about 300 B as a tuple of floats.
-_PACKED_SHAPE = struct.Struct("5dq?")
 
 # Robust operating region suggested by the full sweep: the inverse
 # transform is reliable for 2e-3 < mu < 1e4 and 3e-3 < sigma/mu < 50.
@@ -66,6 +63,11 @@ class GridSpec:
             raise ValueError("need 0 < mu_lo < mu_hi")
         if not 0.0 < self.sigma_ratio_lo < self.sigma_ratio_hi:
             raise ValueError("need 0 < sigma_ratio_lo < sigma_ratio_hi")
+        # every sigma lies in [sigma_ratio_lo * mu_lo, sigma_ratio_hi * mu_hi]
+        sigma_lo, sigma_hi = self.sigma_ratio_lo * self.mu_lo, self.sigma_ratio_hi * self.mu_hi
+        if not (sigma_lo > 0.0 and math.isfinite(sigma_hi)):
+            raise ValueError(f"need sigma_ratio_lo * mu_lo > 0 and sigma_ratio_hi * mu_hi "
+                             f"finite, got {sigma_lo!r} and {sigma_hi!r}")
         # summarize tells rows apart by mu, so no two rows may share one
         mus = self.mu_values()
         if any(lo >= hi for lo, hi in zip(mus, mus[1:])):
@@ -123,18 +125,17 @@ def _log_spaced(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _run_cell(mu: float, sigma: float, shapes: dict | None = None) -> CellResult:
-    """fit_prior(mu, sigma) as a cell. shapes maps each sigma/mu solved so far
-    to its packed shape step, or to None where that step raised."""
+    """fit_prior(mu, sigma) as a cell; GridSpec keeps mu and sigma positive
+    and finite. shapes maps each sigma/mu solved so far to its packed shape
+    step, or to None where that step raised."""
     shapes = {} if shapes is None else shapes
+    r = sigma / mu
     try:
-        _validate_targets(mu, sigma)
-        r = sigma / mu
         if r not in shapes:
             shapes[r] = None
             shapes[r] = _PACKED_SHAPE.pack(*_solve_shape(r))
         if shapes[r] is not None:
-            shape = _PACKED_SHAPE.unpack(shapes[r])
-            return CellResult(mu, sigma, shape[2], *_scale(mu, sigma, shape))
+            return CellResult(mu, sigma, *_scale(mu, sigma, _PACKED_SHAPE.unpack(shapes[r])))
     except (ValueError, OverflowError):
         pass
     return CellResult(mu, sigma, *(math.nan,) * 4, math.inf, math.inf, False)

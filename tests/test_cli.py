@@ -1,10 +1,14 @@
 import hashlib
 import json
 import math
-import tracemalloc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gammasd
 from gammasd import GridSpec, elicitation, run_grid, summarize, validation, write_csv
 from gammasd import cli
 from gammasd.cli import run
@@ -242,6 +246,24 @@ class TestValidate:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "mu_points" in captured.err
 
+    @pytest.mark.parametrize("bounds", [
+        # sigma_ratio_lo * mu_lo underflows to 0
+        ["--mu-points", "2", "--sigma-points", "2", "--mu-lo", "1e-320", "--mu-hi", "1e-310"],
+        # sigma_ratio_hi * mu_hi overflows
+        ["--mu-points", "2", "--sigma-points", "3", "--mu-lo", "1", "--mu-hi", "1e300",
+         "--ratio-hi", "1e10"],
+    ])
+    def test_sigma_range_outside_doubles_leaves_out_file(self, bounds, tmp_path, capsys):
+        out_file = tmp_path / "cells.csv"
+        out_file.write_bytes(b"kept\n")
+        code = run(["validate", *bounds, "--out", str(out_file)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "sigma_ratio_lo * mu_lo" in captured.err
+        assert out_file.read_bytes() == b"kept\n"
+
     def test_unwritable_out_path(self, tmp_path, monkeypatch, capsys):
         def no_cell(mu, sigma):
             raise AssertionError("a cell was solved before the file was opened")
@@ -280,40 +302,58 @@ class TestValidate:
             "cutoff_region_pass": str(summary.cutoff_region_pass).lower(),
         }
 
-    def test_memory_holds_rows_not_grid(self, tmp_path, capsys):
+    def test_memory_holds_rows_not_grid(self, tmp_path):
         # The serial sweep streams cells through the CSV writer and the
         # summary, so ten times the rows may cost a few rows' bytes more,
-        # not ten times the grid's.
-        def peak(mu_points):
-            argv = ["validate", "--mu-points", str(mu_points), "--sigma-points", "40",
-                    "--workers", "1", "--out", str(tmp_path / "cells.csv")]
-            tracemalloc.start()
-            try:
-                run(argv)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        # not ten times the grid's. Each reading comes from a fresh
+        # interpreter that runs the same warm-up sweep first, so it does not
+        # depend on what ran before it.
+        src = str(Path(gammasd.__file__).resolve().parents[1])
 
-        tracemalloc.start()
-        try:
-            row = run_grid(GridSpec(mu_points=1, sigma_points=40))
-            row_bytes = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert len(row) == 40
-        peak(4)  # first run pays for lazy imports and caches
-        growth = peak(40) - peak(4)
-        capsys.readouterr()
+        def measure(*what):
+            proc = subprocess.run(
+                [sys.executable, "-c", MEMORY_PROBE, str(tmp_path / "cells.csv"), *what],
+                env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                check=True, timeout=120)
+            return int(proc.stdout.split()[-1])
+
+        row_bytes = measure("row")
+        growth = measure("peak", "40") - measure("peak", "4")
         assert growth < 3 * row_bytes, (growth, row_bytes)
+
+
+# Run as a script by TestValidate::test_memory_holds_rows_not_grid, with the
+# CSV path and then "row" (the bytes a 40-cell row of run_grid keeps) or
+# "peak N" (the tracemalloc peak of a serial N x 40 validate), printed last.
+MEMORY_PROBE = """
+import sys, tracemalloc
+from gammasd import GridSpec, run_grid
+from gammasd.cli import run
+
+out, what = sys.argv[1], sys.argv[2:]
+
+def sweep(mu_points):
+    run(["validate", "--mu-points", str(mu_points), "--sigma-points", "40",
+         "--workers", "1", "--out", out])
+
+sweep(4)  # warm-up: lazy imports and caches
+tracemalloc.start()
+if what == ["row"]:
+    row = run_grid(GridSpec(mu_points=1, sigma_points=40))
+    assert len(row) == 40
+    print(tracemalloc.get_traced_memory()[0])
+else:
+    sweep(int(what[1]))
+    print(tracemalloc.get_traced_memory()[1])
+"""
 
 
 class TestValidateBytes:
     # SHA-256 of the CSV and stdout of `validate --mu-points 48
-    # --sigma-points 48`, computed before the sweep reused each sigma/mu's
-    # shape solve. The digests depend on the platform's libm (lgamma, exp,
-    # log, expm1). A deliberate numeric change updates them and records
-    # the change in CHANGES.md.
-    CSV_SHA256 = "5e4a4698732dbec6c1a0ae6cfbd57972f4b5f09ccd9cbc7d88b89eba0e3d4622"
+    # --sigma-points 48`. The digests depend on the platform's libm (lgamma,
+    # exp, log, expm1). A deliberate numeric change updates them and
+    # records the change in CHANGES.md.
+    CSV_SHA256 = "d277fbaaf8019204dd6e45d92a92271918b7b0ab71aa0039e8c96f20e99df311"
     STDOUT_SHA256 = "d978dc0bed7136760ea7387a07afa97d9e7e3cd79e884cb9f90c8437849b6676"
 
     def test_48x48_output_is_pinned(self, tmp_path, capsys):

@@ -201,6 +201,16 @@ class TestFitPrior:
                 worst = max(worst, fit.round_trip_rel_err[0])
         assert worst <= 4e-15
 
+    def test_rate_meets_forward_mean_at_returned_shape(self):
+        # b0 = mu0^2 (x + g) at x = a0 - 1, the same x + g that S(a0) inverts
+        rng = random.Random(20211118)
+        worst = 0.0
+        for _ in range(4000):
+            mu = 10.0 ** rng.uniform(-4.0, 4.0)
+            fit = fit_prior(mu, 10.0 ** rng.uniform(-4.0, 6.0) * mu)
+            worst = max(worst, abs(fit.params.b * S(fit.params.a) / (mu * mu) - 1.0))
+        assert worst <= 1e-15
+
     @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
     def test_objective_at_min_is_dimensionless(self, scale):
         # log1p(h0^2) of the dimensionless residual h0: tiny at any scale
@@ -210,9 +220,9 @@ class TestFitPrior:
 
     def test_log_gamma_calls_follow_iterations(self, monkeypatch):
         # Every gamma ratio goes through the kernel _g: the solve evaluates
-        # it iterations + 1 times, and the closing residual and sd_moments
-        # once each. Over sigma/mu in [1e-4, 1.7e4] at most six evaluations
-        # are needed.
+        # it iterations + 1 times, and _sd_shape_factors once more at the
+        # returned a0 for b0, the round trip and h0. Over sigma/mu in
+        # [1e-4, 1.7e4] at most six evaluations are needed.
         import gammasd.distributions
 
         calls = 0
@@ -231,7 +241,7 @@ class TestFitPrior:
             calls = 0
             fit = fit_prior(1.0, ratio)
             assert fit.converged, ratio
-            assert calls == (fit.iterations + 1) + 2, ratio
+            assert calls == (fit.iterations + 1) + 1, ratio
             assert fit.iterations + 1 <= 6, ratio
 
     def test_every_call_solves(self, monkeypatch):

@@ -63,6 +63,11 @@ class TestGridSpec:
             {"sigma_ratio_lo": 2.0, "sigma_ratio_hi": 1.0},
             # exp rounds the middle of three log-spaced mu values to mu_lo
             {"mu_points": 3, "mu_lo": 1.0, "mu_hi": 1.0000000000000002},
+            # sigma_ratio_lo * mu_lo underflows to 0
+            {"mu_lo": 1e-320, "mu_hi": 1e-310},
+            # sigma_ratio_hi * mu_hi overflows
+            {"mu_hi": 1e300, "sigma_ratio_hi": 1e10},
+            {"mu_points": 2, "mu_hi": math.inf},
         ],
     )
     def test_rejects_invalid(self, overrides):
