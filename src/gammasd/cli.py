@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import fields
 from typing import Sequence
 
 from .distributions import GammaParams, precision_pdf, sd_moments, sd_pdf
@@ -83,14 +82,15 @@ def _build_parser() -> _Parser:
     pdf.add_argument("--points", type=int, required=True)
 
     val = sub.add_parser("validate", help="round-trip validation sweep")
-    val.add_argument("--mu-points", type=int, default=GridSpec.mu_points)
-    val.add_argument("--sigma-points", type=int, default=GridSpec.sigma_points)
-    val.add_argument("--mu-lo", type=_positive, default=GridSpec.mu_lo)
-    val.add_argument("--mu-hi", type=_positive, default=GridSpec.mu_hi)
+    defaults = GridSpec._field_defaults
+    val.add_argument("--mu-points", type=int, default=defaults["mu_points"])
+    val.add_argument("--sigma-points", type=int, default=defaults["sigma_points"])
+    val.add_argument("--mu-lo", type=_positive, default=defaults["mu_lo"])
+    val.add_argument("--mu-hi", type=_positive, default=defaults["mu_hi"])
     val.add_argument("--ratio-lo", dest="sigma_ratio_lo", type=_positive,
-                     default=GridSpec.sigma_ratio_lo)
+                     default=defaults["sigma_ratio_lo"])
     val.add_argument("--ratio-hi", dest="sigma_ratio_hi", type=_positive,
-                     default=GridSpec.sigma_ratio_hi)
+                     default=defaults["sigma_ratio_hi"])
     val.add_argument("--workers", type=int, default=1)
     val.add_argument("--out", default=None, help="CSV destination file")
 
@@ -139,7 +139,7 @@ def _cmd_pdf(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    spec = GridSpec(**{f.name: getattr(args, f.name) for f in fields(GridSpec)})
+    spec = GridSpec._make(getattr(args, name) for name in GridSpec._fields)
     cells = _cells(spec, args.workers)
     if args.out is None:
         summary = summarize(cells)

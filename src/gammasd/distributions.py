@@ -16,10 +16,9 @@ The SD moments and the inverse transform are products and quotients of x
 and g, so no difference of nearly equal terms is left to cancel.
 """
 
-from __future__ import annotations
-
+# no postponed annotations: each named-tuple field's would compile to a ForwardRef
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "GammaParams",
@@ -69,37 +68,55 @@ def _g(x: float) -> float:
     return x * math.expm1(2.0 * log_ratio)
 
 
-@dataclass(frozen=True)
-class GammaParams:
+class _GammaParams(NamedTuple):
+    a: float
+    b: float
+
+
+class GammaParams(_GammaParams):
     """Shape/rate pair (a, b) of the precision prior.
 
     Both must be strictly positive and finite. Moments of the induced SD
     distribution additionally need a > 1; that is enforced by sd_moments,
-    not here.
+    not here. A named tuple whose every constructor path checks the pair:
+    the call, _make, _replace and unpickling.
     """
 
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ValueError(f"shape a must be finite and > 0, got {self.a}")
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise ValueError(f"rate b must be finite and > 0, got {self.b}")
+    def __new__(cls, a: float, b: float):
+        if not (math.isfinite(a) and a > 0.0):
+            raise ValueError(f"shape a must be finite and > 0, got {a}")
+        if not (math.isfinite(b) and b > 0.0):
+            raise ValueError(f"rate b must be finite and > 0, got {b}")
+        return tuple.__new__(cls, (a, b))  # as _GammaParams.__new__ does
+
+    @classmethod
+    def _make(cls, iterable):  # the inherited one skips __new__, and _replace calls it
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SdSummary:
-    """Mean and standard deviation of the induced SD distribution."""
-
+class _SdSummary(NamedTuple):
     mu: float
     sigma: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise ValueError(f"mu must be finite and > 0, got {self.mu}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+
+class SdSummary(_SdSummary):
+    """Mean and standard deviation of the induced SD distribution, both
+    finite and > 0; checked on every constructor path, as in GammaParams."""
+
+    __slots__ = ()
+
+    def __new__(cls, mu: float, sigma: float):
+        if not (math.isfinite(mu) and mu > 0.0):
+            raise ValueError(f"mu must be finite and > 0, got {mu}")
+        if not (math.isfinite(sigma) and sigma > 0.0):
+            raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+        return tuple.__new__(cls, (mu, sigma))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def precision_pdf(p: float, params: GammaParams) -> float:

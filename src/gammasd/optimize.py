@@ -7,11 +7,9 @@ iteration cap from the constants below. Pure and re-entrant. The library
 no longer uses it: fit_prior solves for the shape as a fixed point.
 """
 
-from __future__ import annotations
-
+# no postponed annotations: each named-tuple field's would compile to a ForwardRef
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = ["OptimResult", "minimize_bounded"]
 
@@ -22,8 +20,7 @@ _X_TOL = 1e-10
 _MAX_ITER = 500
 
 
-@dataclass(frozen=True)
-class OptimResult:
+class OptimResult(NamedTuple):
     x_min: float
     f_min: float
     iterations: int

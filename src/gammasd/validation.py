@@ -10,11 +10,11 @@ time (two per worker with a pool), so the output is identical whatever
 the degree of concurrency.
 """
 
-# no postponed annotations: CellResult's would each compile to a ForwardRef
+# no postponed annotations: each named-tuple field's would compile to a ForwardRef
 import math
 import os
 from collections import deque
-from dataclasses import dataclass
+from functools import wraps
 from itertools import chain, groupby
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, TextIO
@@ -39,16 +39,7 @@ CUTOFF_MU = (2e-3, 1e4)
 CUTOFF_RATIO = (3e-3, 50.0)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Configuration of the validation sweep.
-
-    Defaults reproduce the full published sweep: 1000 x 1000 cells, mu
-    log-spaced over [1e-4, 1e4] and, for each mu, sigma log-spaced over
-    [1e-4 * mu, 1e2 * mu]. Reduced resolutions are first-class for
-    CI-scale runs. Every cell is solved with fit_prior's defaults.
-    """
-
+class _GridSpec(NamedTuple):
     mu_points: int = 1000
     sigma_points: int = 1000
     mu_lo: float = 1e-4
@@ -56,7 +47,23 @@ class GridSpec:
     sigma_ratio_lo: float = 1e-4
     sigma_ratio_hi: float = 1e2
 
-    def __post_init__(self) -> None:
+
+class GridSpec(_GridSpec):
+    """Configuration of the validation sweep.
+
+    Defaults reproduce the full published sweep: 1000 x 1000 cells, mu
+    log-spaced over [1e-4, 1e4] and, for each mu, sigma log-spaced over
+    [1e-4 * mu, 1e2 * mu]. Reduced resolutions are first-class for
+    CI-scale runs. Every cell is solved with fit_prior's defaults. A named
+    tuple whose every constructor path checks the fields: the call, _make,
+    _replace and unpickling.
+    """
+
+    __slots__ = ()
+
+    @wraps(_GridSpec.__new__)  # so the signature shows the fields and defaults
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mu_points < 1 or self.sigma_points < 1:
             raise ValueError("mu_points and sigma_points must be >= 1")
         if not 0.0 < self.mu_lo < self.mu_hi:
@@ -73,6 +80,11 @@ class GridSpec:
         if any(lo >= hi for lo, hi in zip(mus, mus[1:])):
             raise ValueError(f"mu_lo = {self.mu_lo!r}, mu_hi = {self.mu_hi!r} and "
                              f"mu_points = {self.mu_points} give repeated mu values")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # the inherited one skips __new__, and _replace calls it
+        return cls(*iterable)
 
     def mu_values(self) -> list[float]:
         return _log_spaced(self.mu_lo, self.mu_hi, self.mu_points)
@@ -99,8 +111,7 @@ class CellResult(NamedTuple):
     passed: bool
 
 
-@dataclass(frozen=True)
-class GridSummary:
+class GridSummary(NamedTuple):
     """Aggregate view of a sweep, including the largest fully-passing
     axis-aligned rectangle in (mu, sigma/mu) log space (None if the input
     is not a complete rectangular grid or nothing passed), and whether
@@ -141,9 +152,8 @@ def _run_cell(mu: float, sigma: float, shapes: dict | None = None) -> CellResult
     return CellResult(mu, sigma, *(math.nan,) * 4, math.inf, math.inf, False)
 
 
-def _run_row(args: tuple[float, GridSpec], shapes: dict) -> list[CellResult]:
-    mu, spec = args
-    return [_run_cell(mu, sigma, shapes) for sigma in spec.sigma_values(mu)]
+def _run_row(mu: float, sigmas: list[float], shapes: dict) -> list[CellResult]:
+    return [_run_cell(mu, sigma, shapes) for sigma in sigmas]
 
 
 def _cells(spec: GridSpec, workers: int | None) -> Iterator[CellResult]:
@@ -152,21 +162,23 @@ def _cells(spec: GridSpec, workers: int | None) -> Iterator[CellResult]:
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     cpus = os.cpu_count() or 1
-    rows = [(mu, spec) for mu in spec.mu_values()]
-    n_workers = min(cpus if workers is None else workers, len(rows), cpus)
+    mus = spec.mu_values()
+    n_workers = min(cpus if workers is None else workers, len(mus), cpus)
+    # a row travels as its mu and sigma values: unpickling a GridSpec re-runs its checks
+    rows = ((mu, spec.sigma_values(mu)) for mu in mus)
     if n_workers == 1:
         shapes: dict = {}  # one per run; each pool row gets its own
-        return chain.from_iterable(_run_row(row, shapes) for row in rows)
+        return chain.from_iterable(_run_row(mu, sigmas, shapes) for mu, sigmas in rows)
 
     def pooled() -> Iterator[CellResult]:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             window: deque = deque()
-            for row in rows:
+            for mu, sigmas in rows:
                 if len(window) == 2 * n_workers:
                     yield from window.popleft().result()
-                window.append(pool.submit(_run_row, row, {}))
+                window.append(pool.submit(_run_row, mu, sigmas, {}))
             while window:
                 yield from window.popleft().result()
 

@@ -14,6 +14,7 @@ from gammasd import (
 )
 from mp_oracle import sd_moments as mp_sd_moments
 from quadrature import integrate
+from records import PATHS, build
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -21,8 +22,9 @@ SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 class TestGammaParams:
     @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-2.0, 1.0), (1.0, 0.0), (1.0, -3.0), (math.nan, 1.0), (1.0, math.inf)])
     def test_rejects_invalid(self, a, b):
-        with pytest.raises(ValueError):
-            GammaParams(a, b)
+        for path in PATHS:
+            with pytest.raises(ValueError):
+                build(GammaParams, (a, b), path, GammaParams(2.0, 2.0))
 
     def test_accepts_small_shape(self):
         # densities are defined for all a > 0; only moments need a > 1
@@ -32,8 +34,9 @@ class TestGammaParams:
 class TestSdSummary:
     @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, math.nan)])
     def test_rejects_invalid(self, mu, sigma):
-        with pytest.raises(ValueError):
-            SdSummary(mu, sigma)
+        for path in PATHS:
+            with pytest.raises(ValueError):
+                build(SdSummary, (mu, sigma), path, SdSummary(1.0, 1.0))
 
 
 class TestPrecisionPdf:

@@ -1,9 +1,24 @@
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gammasd
+from gammasd import (
+    FitResult,
+    GammaParams,
+    GridSpec,
+    GridSummary,
+    OptimResult,
+    SdSummary,
+    fit_prior,
+    minimize_bounded,
+    run_grid,
+    summarize,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -33,3 +48,56 @@ def test_cli_import_loads_no_json():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("module", ["gammasd", "gammasd.cli"])
+def test_import_loads_no_dataclasses(module):
+    # the records are named tuples; dataclasses would pull in inspect, ast and dis
+    code = f"import {module}, sys; print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False False"
+
+
+# each record's fields in order: fit_prior builds its records positionally, and callers unpack them
+FIELDS = {
+    GammaParams: ("a", "b"),
+    SdSummary: ("mu", "sigma"),
+    FitResult: ("params", "objective_at_min", "round_trip", "round_trip_rel_err",
+                "converged", "iterations"),
+    OptimResult: ("x_min", "f_min", "iterations", "converged"),
+    GridSpec: ("mu_points", "sigma_points", "mu_lo", "mu_hi", "sigma_ratio_lo", "sigma_ratio_hi"),
+    GridSummary: ("n_cells", "n_passed", "pass_fraction", "pass_rectangle", "cutoff_region_pass"),
+}
+
+
+def sample(cls):
+    return {
+        GammaParams: lambda: GammaParams(2.0, 3.0),
+        SdSummary: lambda: SdSummary(1.0, 0.5),
+        FitResult: lambda: fit_prior(1.0, 0.5),
+        OptimResult: lambda: minimize_bounded(lambda x: (x - 1.0) ** 2, 0.0, 3.0),
+        GridSpec: lambda: GridSpec(mu_points=4, sigma_points=3),
+        GridSummary: lambda: summarize(run_grid(GridSpec(mu_points=2, sigma_points=2))),
+    }[cls]()
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+class TestRecords:
+    def test_fields_in_order(self, cls):
+        assert cls._fields == FIELDS[cls]
+        record = sample(cls)
+        assert tuple(record) == tuple(getattr(record, name) for name in FIELDS[cls])
+
+    def test_frozen(self, cls):
+        record = sample(cls)
+        with pytest.raises(AttributeError):
+            setattr(record, cls._fields[0], record[1])
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_make_replace_and_pickle_keep_the_type(self, cls):
+        record = sample(cls)
+        for copy in (cls._make(record), record._replace(**{cls._fields[0]: record[0]}),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(copy) is cls and copy == record

@@ -15,6 +15,7 @@ from gammasd import (
 )
 from gammasd import validation
 from gammasd.validation import CSV_HEADER
+from records import PATHS, build
 
 
 def small_spec(n=8, m=8, **overrides):
@@ -71,8 +72,9 @@ class TestGridSpec:
         ],
     )
     def test_rejects_invalid(self, overrides):
-        with pytest.raises(ValueError):
-            GridSpec(**overrides)
+        for path in PATHS:
+            with pytest.raises(ValueError):
+                build(GridSpec, {**GridSpec._field_defaults, **overrides}.values(), path)
 
     def test_log_spacing_constant_ratio(self):
         spec = small_spec(n=17)
@@ -186,6 +188,7 @@ class TestRunGrid:
         pools = []
         in_flight = []  # rows submitted and not yet read
         peaks = []  # len(in_flight) after each submit
+        rows = []  # the mu and sigma values sent with each row
 
         class CountedFuture(Future):
             def result(self, timeout=None):
@@ -204,6 +207,7 @@ class TestRunGrid:
                 return False
 
             def submit(self, fn, *args):
+                rows.append(args[:2])
                 future = CountedFuture()
                 future.set_result(fn(*args))
                 in_flight.append(future)
@@ -221,6 +225,8 @@ class TestRunGrid:
         assert pools == [2]
         assert len(peaks) == 12 and max(peaks) <= 2 * 2
         assert cells == run_grid(spec, workers=1)
+        # a row carries no GridSpec, whose unpickling would re-run its checks
+        assert rows == [(mu, spec.sigma_values(mu)) for mu in spec.mu_values()]
 
 
 class TestSummarize:
