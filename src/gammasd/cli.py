@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from typing import Sequence
 
 from .distributions import GammaParams, precision_pdf, sd_moments, sd_pdf
 from .elicitation import fit_prior
-from .validation import GridSpec, _cells, _written, summarize
+from .validation import GridSpec, _rows, _summarize_rows
 
 __all__ = ["run", "main"]
 
@@ -140,13 +141,10 @@ def _cmd_pdf(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     spec = GridSpec._make(getattr(args, name) for name in GridSpec._fields)
-    cells = _cells(spec, args.workers)
-    if args.out is None:
-        summary = summarize(cells)
-    else:
-        # opened before the first cell is solved, so a bad path fails fast
-        with open(args.out, "w", newline="") as fh:
-            summary = summarize(_written(cells, fh))
+    rows = _rows(spec, args.workers)
+    # opened before the first row is solved, so a bad path fails fast
+    with open(args.out, "w", newline="") if args.out is not None else nullcontext() as fh:
+        summary = _summarize_rows(rows, fh)
 
     print(f"cells {summary.n_cells}")
     print(f"passed {summary.n_passed}")

@@ -141,15 +141,15 @@ def sd_pdf(s: float, params: GammaParams) -> float:
     if s <= 0.0:
         return 0.0
     a, b = params.a, params.b
-    log_s = math.log(s)
+    log_s, log_b = math.log(s), math.log(b)
     # b/s^2 in log space; s*s underflows for s below ~1e-154
-    log_q = math.log(b) - 2.0 * log_s
+    log_q = log_b - 2.0 * log_s
     if log_q > 709.0:
         # exp(-b/s^2) underflows past anything the polynomial factor adds
         return 0.0
     log_pdf = (
         _LOG_2
-        + a * math.log(b)
+        + a * log_b
         - log_gamma(a)
         - (2.0 * a + 1.0) * log_s
         - math.exp(log_q)

@@ -20,7 +20,6 @@ a scale step from mu0, sigma0 and that shape to b0 and the round trip
 
 # no postponed annotations: each named-tuple field's would compile to a ForwardRef
 import math
-import struct
 import sys
 from typing import NamedTuple
 
@@ -48,9 +47,6 @@ ROUND_TRIP_TOL = 1e-2
 # stops, and its cap on iterations (kernel evaluations less one).
 _STEP_TOL = 1e-12
 _MAX_ITER = 500
-
-# _solve_shape's tuple as a sweep keeps it: 74 B packed, 210 B as a tuple.
-_PACKED_SHAPE = struct.Struct("4dq?")
 
 
 class FitResult(NamedTuple):

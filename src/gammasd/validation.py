@@ -3,23 +3,27 @@
 Each cell maps (mu, sigma) to prior parameters, maps back through the
 closed-form SD moments, and passes when the fit converged (both
 round-trip relative errors below 1 %). Per-cell numerical failures are
-recorded as failed cells; the sweep itself never aborts. Cells are
-independent, so the grid may be evaluated concurrently; they are streamed
-in row-major (mu index, sigma index) order, one row of cells held at a
-time (two per worker with a pool), so the output is identical whatever
-the degree of concurrency.
+recorded as failed cells; the sweep itself never aborts. The row of one
+mu is the unit of work: a row step solves it into plain tuples in
+CellResult's field order, and one fold over the rows, in row-major order,
+writes each row's CSV text and folds it into the GridSummary. validate
+streams rows through that fold, holding one row at a time (two per worker
+with a pool), so the output is identical whatever the degree of
+concurrency. run_grid builds CellResults from the rows; summarize and
+write_csv group CellResults back into rows.
 """
 
 # no postponed annotations: each named-tuple field's would compile to a ForwardRef
 import math
 import os
+import struct
 from collections import deque
 from functools import wraps
-from itertools import chain, groupby
-from operator import attrgetter
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .elicitation import _PACKED_SHAPE, _scale, _solve_shape
+from .elicitation import _scale, _solve_shape
 
 __all__ = [
     "GridSpec",
@@ -31,7 +35,11 @@ __all__ = [
 ]
 
 CSV_HEADER = "mu,sigma,a0,b0,mu_rt,sigma_rt,rel_err_mu,rel_err_sigma,converged,passed"
-_CSV_ROW = "%.17g," * 8 + "%s,%s\n"
+# one CSV line: mu's text, formatted once per row, then the cell's reals and verdict
+_CSV_LINE = "%s" + ",%.17g" * 7 + ",%s\n"
+
+# _solve_shape's tuple as a sweep keeps it: 74 B packed, 210 B as a tuple.
+_PACKED_SHAPE = struct.Struct("4dq?")
 
 # Robust operating region suggested by the full sweep: the inverse
 # transform is reliable for 2e-3 < mu < 1e4 and 3e-3 < sigma/mu < 50.
@@ -135,29 +143,29 @@ def _log_spaced(lo: float, hi: float, n: int) -> list[float]:
     return values
 
 
-def _run_cell(mu: float, sigma: float, shapes: dict | None = None) -> CellResult:
-    """fit_prior(mu, sigma) as a cell; GridSpec keeps mu and sigma positive
-    and finite. shapes maps each sigma/mu solved so far to its packed shape
-    step, or to None where that step raised."""
-    shapes = {} if shapes is None else shapes
-    r = sigma / mu
-    try:
-        if r not in shapes:
-            shapes[r] = None
-            shapes[r] = _PACKED_SHAPE.pack(*_solve_shape(r))
-        if shapes[r] is not None:
-            return CellResult(mu, sigma, *_scale(mu, sigma, _PACKED_SHAPE.unpack(shapes[r])))
-    except (ValueError, OverflowError):
-        pass
-    return CellResult(mu, sigma, *(math.nan,) * 4, math.inf, math.inf, False)
+def _row(mu: float, sigmas: list[float], shapes: dict) -> list[tuple]:
+    """fit_prior(mu, sigma) for each sigma of a row, as tuples in CellResult's
+    field order; GridSpec keeps mu and sigma positive and finite. shapes maps
+    each sigma/mu solved so far to its packed shape step, or to None where
+    that step raised."""
+    cells = []
+    for sigma in sigmas:
+        r = sigma / mu
+        try:
+            if r not in shapes:
+                shapes[r] = None
+                shapes[r] = _PACKED_SHAPE.pack(*_solve_shape(r))
+            if shapes[r] is not None:
+                cells.append((mu, sigma, *_scale(mu, sigma, _PACKED_SHAPE.unpack(shapes[r]))))
+                continue
+        except (ValueError, OverflowError):
+            pass
+        cells.append((mu, sigma, *(math.nan,) * 4, math.inf, math.inf, False))
+    return cells
 
 
-def _run_row(mu: float, sigmas: list[float], shapes: dict) -> list[CellResult]:
-    return [_run_cell(mu, sigma, shapes) for sigma in sigmas]
-
-
-def _cells(spec: GridSpec, workers: int | None) -> Iterator[CellResult]:
-    """The cells of run_grid, lazily; workers is checked on the call. A pool
+def _rows(spec: GridSpec, workers: int | None) -> Iterator[list[tuple]]:
+    """The rows of run_grid, lazily; workers is checked on the call. A pool
     has at most two rows per worker in flight and returns rows in order."""
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -168,19 +176,19 @@ def _cells(spec: GridSpec, workers: int | None) -> Iterator[CellResult]:
     rows = ((mu, spec.sigma_values(mu)) for mu in mus)
     if n_workers == 1:
         shapes: dict = {}  # one per run; each pool row gets its own
-        return chain.from_iterable(_run_row(mu, sigmas, shapes) for mu, sigmas in rows)
+        return (_row(mu, sigmas, shapes) for mu, sigmas in rows)
 
-    def pooled() -> Iterator[CellResult]:
+    def pooled() -> Iterator[list[tuple]]:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             window: deque = deque()
             for mu, sigmas in rows:
                 if len(window) == 2 * n_workers:
-                    yield from window.popleft().result()
-                window.append(pool.submit(_run_row, mu, sigmas, {}))
+                    yield window.popleft().result()
+                window.append(pool.submit(_row, mu, sigmas, {}))
             while window:
-                yield from window.popleft().result()
+                yield window.popleft().result()
 
     return pooled()
 
@@ -190,7 +198,7 @@ def run_grid(spec: GridSpec, workers: int | None = 1) -> list[CellResult]:
     row-major order. workers > 1 (or None for the CPU count) spreads the
     mu rows over at most min(workers, mu rows, CPU count) processes; the
     result is identical either way. workers < 1 raises ValueError."""
-    return list(_cells(spec, workers))
+    return [CellResult._make(cell) for row in _rows(spec, workers) for cell in row]
 
 
 def summarize(results: Iterable[CellResult]) -> GridSummary:
@@ -199,28 +207,38 @@ def summarize(results: Iterable[CellResult]) -> GridSummary:
     from any iterable. Cells of one mu form a row; one row is held at a
     time. The rectangle has maximal area in grid indices (uniform in log
     space), found by a histogram-stack scan over the rows."""
+    return _summarize_rows(list(row) for _, row in groupby(results, itemgetter(0)))
+
+
+def _summarize_rows(rows: Iterable[list], fh: TextIO | None = None) -> GridSummary:
+    """summarize over rows of cells, tuples in CellResult's field order.
+    With fh, writes the CSV header to it first and then the text of each
+    row as it goes by."""
+    if fh is not None:
+        fh.write(CSV_HEADER + "\n")
     n_cells = n_passed = n_inside = n_inside_passed = 0
     mus: list[float] = []
     ratios: list[float] = []
     heights: list[int] | None = None  # None once a row's length differs
     best_area, best = 0, None  # best: (row_lo, row_hi, col_lo, col_hi)
-    for i, (mu, group) in enumerate(groupby(results, key=attrgetter("mu"))):
-        row = list(group)
+    for i, row in enumerate(rows):
+        if fh is not None:
+            fh.write(_csv_text(row))
+        mu = row[0][0]
         if i == 0:
-            ratios = [c.sigma / c.mu for c in row]
+            ratios = [c[1] / mu for c in row]
             heights = [0] * len(row)
         mus.append(mu)
         n_cells += len(row)
-        for c in row:
-            n_passed += c.passed
-            if (CUTOFF_MU[0] < c.mu < CUTOFF_MU[1]
-                    and CUTOFF_RATIO[0] < c.sigma / c.mu < CUTOFF_RATIO[1]):
-                n_inside += 1
-                n_inside_passed += c.passed
+        n_passed += sum(c[8] for c in row)
+        if CUTOFF_MU[0] < mu < CUTOFF_MU[1]:
+            inside = [c[8] for c in row if CUTOFF_RATIO[0] < c[1] / mu < CUTOFF_RATIO[1]]
+            n_inside += len(inside)
+            n_inside_passed += sum(inside)
         if heights is None or len(row) != len(heights):
             heights = None
             continue
-        heights = [h + 1 if c.passed else 0 for h, c in zip(heights, row)]
+        heights = [h + 1 if c[8] else 0 for h, c in zip(heights, row)]
         stack: list[int] = []
         j = 0
         while j <= len(row):
@@ -251,15 +269,12 @@ def summarize(results: Iterable[CellResult]) -> GridSummary:
     )
 
 
-def _written(cells: Iterable[CellResult], fh: TextIO) -> Iterator[CellResult]:
-    """Pass cells through, writing the CSV header to fh first and then the
-    row of each cell as it goes by."""
-    fh.write(CSV_HEADER + "\n")
-    for c in cells:
-        passed = "true" if c.passed else "false"
-        fh.write(_CSV_ROW % (c.mu, c.sigma, c.a0, c.b0, c.mu_rt, c.sigma_rt,
-                             c.rel_err_mu, c.rel_err_sigma, passed, passed))
-        yield c
+def _csv_text(row: list) -> str:
+    """The CSV lines of a row of cells: reals at 17 significant digits,
+    booleans as true/false, mu formatted once."""
+    mu = "%.17g" % row[0][0]
+    return "".join([_CSV_LINE % (mu, *c[1:8], "true,true" if c[8] else "false,false")
+                    for c in row])
 
 
 def write_csv(results: Iterable[CellResult], path: str) -> None:
@@ -267,5 +282,7 @@ def write_csv(results: Iterable[CellResult], path: str) -> None:
     reals at 17 significant digits, booleans as true/false, input order
     preserved."""
     with open(path, "w", newline="") as fh:
-        for _ in _written(results, fh):
-            pass
+        fh.write(CSV_HEADER + "\n")
+        # a row formats mu once, and 0.0 == -0.0 is written as 0 and -0
+        rows = groupby(results, lambda c: (c[0], math.copysign(1.0, c[0])))
+        fh.writelines(_csv_text(list(row)) for _, row in rows)

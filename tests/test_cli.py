@@ -228,11 +228,11 @@ class TestValidate:
     def test_defaults_are_gridspec_defaults(self, monkeypatch, capsys):
         seen = []
 
-        def one_cell(spec, workers):
+        def one_row(spec, workers):
             seen.append(spec)
-            return validation._cells(GridSpec(mu_points=1, sigma_points=1), workers)
+            return validation._rows(GridSpec(mu_points=1, sigma_points=1), workers)
 
-        monkeypatch.setattr(cli, "_cells", one_cell)
+        monkeypatch.setattr(cli, "_rows", one_row)
         cli._cmd_validate(cli._build_parser().parse_args(["validate"]))
         assert seen == [GridSpec()]
 
@@ -265,15 +265,28 @@ class TestValidate:
         assert out_file.read_bytes() == b"kept\n"
 
     def test_unwritable_out_path(self, tmp_path, monkeypatch, capsys):
-        def no_cell(mu, sigma):
+        def no_row(mu, sigmas, shapes):
             raise AssertionError("a cell was solved before the file was opened")
 
-        monkeypatch.setattr(validation, "_run_cell", no_cell)
+        monkeypatch.setattr(validation, "_row", no_row)
         code = run(["validate", "--mu-points", "2", "--sigma-points", "2",
                     "--out", str(tmp_path / "missing" / "cells.csv")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_streams_rows_without_cell_records(self, tmp_path, monkeypatch, capsys):
+        # validate folds the row step's tuples straight into the CSV and the
+        # summary: no CellResult is built and no cell stream is regrouped
+        def unused(*args, **kwargs):
+            raise AssertionError("validate left the row stream")
+
+        monkeypatch.setattr(validation, "CellResult", unused)
+        monkeypatch.setattr(validation, "groupby", unused)
+        code = run(["validate", "--mu-points", "3", "--sigma-points", "4",
+                    "--out", str(tmp_path / "cells.csv")])
+        assert code == 0
+        assert parse_plain(capsys.readouterr().out)["cells"] == "12"
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_stream_matches_run_grid(self, workers, tmp_path, capsys):

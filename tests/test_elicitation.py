@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -307,6 +308,27 @@ class TestAgainstIndependentOracles:
             root = bisect_root(mu, sigma)
             fit = fit_prior(mu, sigma)
             assert abs(fit.params.a - root) <= 1e-12 * root, (mu, ratio, root, fit.params.a)
+
+    def test_a0_matches_mpmath_root(self):
+        # x0 = a0 - 1 is the root of g(x) = r^2 x, with
+        # g(x) = Gamma(x + 1)^2 / Gamma(x + 1/2)^2 - x, here found at 50
+        # digits from the fit's own x0 over 401 log-spaced r in [1e-4, 1e6].
+        # a0 itself is compared: at r = 1e6, a0 - 1 = 3.2e-13 keeps only the
+        # digits that the rounding of a0 = 1 + x0 leaves. The worst error
+        # measured is 2.81e-13, at r = 0.168.
+        worst = 0.0
+        with mpmath.workdps(50):
+            for k in range(401):
+                r = 10.0 ** (-4.0 + k / 40.0)
+                a0 = fit_prior(1.0, r).params.a
+                r2 = mpmath.mpf(r) ** 2
+
+                def shape_equation(x):
+                    return (mpmath.gamma(x + 1) / mpmath.gamma(x + 0.5)) ** 2 - x - r2 * x
+
+                root = 1 + mpmath.findroot(shape_equation, mpmath.mpf(a0) - 1)
+                worst = max(worst, float(abs(a0 - root) / root))
+        assert worst < 5e-13, worst
 
     def test_round_trip_identity_grid(self):
         # 20 x 20 log grid over (a, b); the fit must recover the pair

@@ -218,10 +218,10 @@ class TestRunGrid:
         monkeypatch.setattr(validation.os, "cpu_count", lambda: 4)
         spec = small_spec(n=12, m=3)
         cells = []
-        for cell in validation._cells(spec, workers=2):
-            # read one cell at a time: the window must not grow meanwhile
+        for row in validation._rows(spec, workers=2):
+            # read one row at a time: the window must not grow meanwhile
             assert len(in_flight) <= 2 * 2
-            cells.append(cell)
+            cells.extend(row)
         assert pools == [2]
         assert len(peaks) == 12 and max(peaks) <= 2 * 2
         assert cells == run_grid(spec, workers=1)
@@ -339,7 +339,7 @@ class TestWriteCsv:
 
     def test_degenerate_cell_row(self, csv_bytes):
         # sigma/mu = 1e9 is infeasible (a0 rounds to 1)
-        line = csv_bytes([validation._run_cell(1.0, 1e9)]).splitlines()[1]
+        line = csv_bytes(map(CellResult._make, validation._row(1.0, [1e9], {}))).splitlines()[1]
         assert line == "1,1000000000,nan,nan,nan,nan,inf,inf,false,false"
 
     def test_edge_values_row(self, csv_bytes):
@@ -351,6 +351,11 @@ class TestWriteCsv:
             "-0,4.9406564584124654e-324,1.7976931348623157e+308,0.10000000000000001,"
             "10000000000000000,2.5000000000000171e-310,0,-1e-300,true,true"
         )
+
+    def test_signed_zero_mu_rows_kept_apart(self, csv_bytes):
+        # 0.0 == -0.0, yet each cell's mu is written with its own sign
+        cells = [make_cell(0.0, 1.0), make_cell(-0.0, 1.0), make_cell(0.0, 2.0)]
+        assert [line.split(",")[0] for line in csv_bytes(cells).splitlines()[1:]] == ["0", "-0", "0"]
 
     def test_writes_to_path(self, tmp_path):
         destination = tmp_path / "grid.csv"
@@ -408,7 +413,8 @@ class TestShapeReuse:
 
         monkeypatch.setattr(validation, "_solve_shape", counting)
         shapes = {}
-        cells = [validation._run_cell(mu, 1e9 * mu, shapes) for mu in (1.0, 2.0, 4.0)]
+        cells = [CellResult._make(cell) for mu in (1.0, 2.0, 4.0)
+                 for cell in validation._row(mu, [1e9 * mu], shapes)]
         assert calls == [1e9]
         assert not any(c.passed for c in cells)
 
@@ -419,7 +425,9 @@ class TestShapeReuse:
         shapes = {}
         for warm in (False, True):
             for (mu, sigma), want in zip(targets, expected):
-                for cell in (validation._run_cell(mu, sigma), validation._run_cell(mu, sigma, shapes)):
+                # a cold cache, then the one shared by every target
+                for cache in ({}, shapes):
+                    [cell] = map(CellResult._make, validation._row(mu, [sigma], cache))
                     if want is None:
                         assert not cell.passed, (mu, sigma, warm)
                         assert all(math.isnan(v) for v in cell[2:6])
