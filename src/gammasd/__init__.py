@@ -1,13 +1,42 @@
 """Bidirectional conversion between a Gamma(a, b) noise-precision prior
-and the mean/SD summary of the induced noise standard deviation."""
+and the mean/SD summary of the induced noise standard deviation.
 
-from . import distributions, elicitation, optimize, validation
+`import gammasd` loads the transform (distributions, elicitation); the
+sweep's names and minimize_bounded load their module on first use.
+"""
+
+import importlib
+
+from . import distributions, elicitation
 from .distributions import *
 from .elicitation import *
-from .optimize import *
-from .validation import *
 
 __version__ = "0.1.0"
 
-__all__ = [*distributions.__all__, *elicitation.__all__,
-           *optimize.__all__, *validation.__all__]
+# The module of each name that loads on first use; the modules name themselves.
+_LAZY = {
+    "optimize": "optimize", "OptimResult": "optimize", "minimize_bounded": "optimize",
+    "validation": "validation", "GridSpec": "validation", "CellResult": "validation",
+    "GridSummary": "validation", "run_grid": "validation", "summarize": "validation",
+    "write_csv": "validation",
+}
+
+
+def __getattr__(name):
+    # importlib, not `from . import`: the import system checks the fromlist by
+    # looking each name up on this package, which would land here again
+    if name == "__all__":
+        value = [*distributions.__all__, *elicitation.__all__,
+                 *importlib.import_module(".optimize", __name__).__all__,
+                 *importlib.import_module(".validation", __name__).__all__]
+    elif name in _LAZY:
+        module = importlib.import_module("." + _LAZY[name], __name__)
+        value = module if name == _LAZY[name] else getattr(module, name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, "__all__"})

@@ -39,7 +39,7 @@ def log_gamma(x: float) -> float:
     The platform's math.lgamma, restricted to the positive axis: it would
     otherwise return log|Gamma(x)| for negative non-integers. Above about
     2.56e305 the result exceeds the largest double and is +inf, as in IEEE
-    overflow, so densities at such shapes still evaluate to 0.
+    overflow; the densities treat such shapes on their own branch.
     """
     if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
@@ -123,11 +123,17 @@ def precision_pdf(p: float, params: GammaParams) -> float:
     """Gamma(a, b) density over the precision; 0 outside the support p > 0.
 
     Evaluated in log space and exponentiated last so b^a cannot overflow.
+    Where log_gamma(a) overflows, the relative SD 1/sqrt(a) is below 2e-153,
+    far below the spacing of doubles: the density is 0 except where b p
+    equals a, and there Stirling's formula gives sqrt(a / (2 pi)) / p.
     """
     if not 0.0 < p < math.inf:
         return 0.0 if p == p else p  # 0 off the support and at +inf; nan stays nan
     a, b = params.a, params.b
-    log_pdf = a * math.log(b) - log_gamma(a) + (a - 1.0) * math.log(p) - p * b
+    log_gamma_a = log_gamma(a)
+    if log_gamma_a == math.inf:
+        return math.sqrt(a / math.tau) / p if b * p == a else 0.0
+    log_pdf = a * math.log(b) - log_gamma_a + (a - 1.0) * math.log(p) - p * b
     return math.exp(log_pdf)
 
 
@@ -137,10 +143,18 @@ def precision_moments(params: GammaParams) -> tuple[float, float]:
 
 
 def sd_pdf(s: float, params: GammaParams) -> float:
-    """Density of the induced SD distribution; 0 outside the support s > 0."""
+    """Density of the induced SD distribution; 0 outside the support s > 0.
+
+    Where log_gamma(a) overflows, as in precision_pdf: 0 except where b/s^2
+    equals a, and there 2 sqrt(a / (2 pi)) / s.
+    """
     if s <= 0.0:
         return 0.0
     a, b = params.a, params.b
+    log_gamma_a = log_gamma(a)
+    if log_gamma_a == math.inf:
+        # b / s / s: s * s turns subnormal, and loses digits, below about 1.5e-154
+        return 2.0 * math.sqrt(a / math.tau) / s if b / s / s == a else 0.0
     log_s, log_b = math.log(s), math.log(b)
     # b/s^2 in log space; s*s underflows for s below ~1e-154
     log_q = log_b - 2.0 * log_s
@@ -150,7 +164,7 @@ def sd_pdf(s: float, params: GammaParams) -> float:
     log_pdf = (
         _LOG_2
         + a * log_b
-        - log_gamma(a)
+        - log_gamma_a
         - (2.0 * a + 1.0) * log_s
         - math.exp(log_q)
     )

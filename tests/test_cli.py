@@ -159,6 +159,19 @@ class TestPdf:
         first = capsys.readouterr().out.strip().splitlines()[1]
         assert float(first.split(",")[1]) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
+    def test_density_of_prior_beyond_log_gamma_range(self, capsys):
+        # inverse reports a0 = b0 = 2.5e307 here, where log_gamma(a0) is +inf
+        assert run(["inverse", "--mu", "1", "--sigma", "1e-154"]) == 0
+        out = parse_plain(capsys.readouterr().out)
+        assert out["a0"] == out["b0"] and out["converged"] == "True"
+        code = run(["pdf", "--dist", "sd", "--a", out["a0"], "--b", out["b0"],
+                    "--from", "0.5", "--to", "1.5", "--points", "3"])
+        assert code == 0
+        densities = [float(line.split(",")[1])
+                     for line in capsys.readouterr().out.splitlines()[1:]]
+        assert densities[0] == densities[2] == 0.0
+        assert densities[1] == pytest.approx(2.0 * math.sqrt(2.5e307 / math.tau), rel=1e-12)
+
     def test_bad_range(self, capsys):
         code = run(
             ["pdf", "--dist", "sd", "--a", "2", "--b", "2",

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +69,41 @@ class TestPrecisionPdf:
         # b^a would overflow without log-space evaluation
         value = precision_pdf(1.0, GammaParams(500.0, 500.0))
         assert math.isfinite(value) and value > 0.0
+
+
+def mp_log_precision_pdf(p, a, b):
+    """log of the Gamma(a, b) density at p in mpmath. At shapes beyond
+    log-gamma's double range its terms reach about 2e310 and cancel to a
+    few hundred at the peak, so 40 digits keep nothing; 400 keep about 85."""
+    p, a, b = mpmath.mpf(p), mpmath.mpf(a), mpmath.mpf(b)
+    return a * mpmath.log(b) - mpmath.loggamma(a) + (a - 1) * mpmath.log(p) - p * b
+
+
+class TestBeyondLogGammaRange:
+    # log_gamma(a) is +inf above about 2.56e305; the densities must not be nan
+    FITTED = GammaParams(2.5e307, 2.5e307)  # fit_prior(1, 1e-154)
+
+    @pytest.mark.parametrize("p, params", [(5e305, GammaParams(1e306, 2.0)), (1.0, FITTED),
+                                           (4e305, GammaParams(1e306, 2.0)), (1.5, FITTED)])
+    def test_precision_pdf_against_mpmath(self, p, params):
+        with mpmath.workdps(400):
+            expected = float(mpmath.exp(mp_log_precision_pdf(p, *params)))
+        assert precision_pdf(p, params) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("s, params", [(1.0, FITTED), (0.5, FITTED), (1.5, FITTED),
+                                           (1.0, GammaParams(1e308, 1e308))])
+    def test_sd_pdf_against_mpmath(self, s, params):
+        # f_s(s) = 2 s^-3 f_p(1/s^2); at 1e308, log(b/s^2) is past sd_pdf's underflow cut
+        with mpmath.workdps(400):
+            s_ = mpmath.mpf(s)
+            expected = float(2 / s_**3 * mpmath.exp(mp_log_precision_pdf(1 / s_**2, *params)))
+        assert sd_pdf(s, params) == pytest.approx(expected, rel=1e-14)
+
+    def test_tiny_sd_at_the_peak(self):
+        # b/s^2 = a at s = 1e-155, where s * s is subnormal and has lost digits
+        params = GammaParams(1e306, 1e306 * 1e-155 * 1e-155)
+        assert params.b / 1e-155 / 1e-155 == params.a
+        assert sd_pdf(1e-155, params) == 2.0 * math.sqrt(1e306 / math.tau) / 1e-155
 
 
 class TestPrecisionMoments:

@@ -34,29 +34,54 @@ def test_public_names():
     assert len(gammasd.__all__) == len(set(gammasd.__all__))
 
 
+def fresh(code):
+    """stdout of `code` run in a new interpreter with only src/ added to the path."""
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
 def test_import_loads_no_process_pool():
     # only a sweep with more than one worker needs concurrent.futures
-    code = "import gammasd, sys; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert fresh("import gammasd, sys; print('concurrent.futures' in sys.modules)") == "False"
 
 
 def test_cli_import_loads_no_json():
     # only --output json needs the json module
-    code = "import gammasd.cli, sys; print('json' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert fresh("import gammasd.cli, sys; print('json' in sys.modules)") == "False"
 
 
 @pytest.mark.parametrize("module", ["gammasd", "gammasd.cli"])
 def test_import_loads_no_dataclasses(module):
     # the records are named tuples; dataclasses would pull in inspect, ast and dis
     code = f"import {module}, sys; print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False False"
+    assert fresh(code) == "False False"
+
+
+@pytest.mark.parametrize("module, absent", [("gammasd", {"gammasd.validation", "gammasd.optimize"}),
+                                            ("gammasd.cli", {"gammasd.optimize"})])
+def test_import_loads_no_sweep_or_minimiser(module, absent):
+    # `import gammasd` loads the transform; the sweep and the minimiser load on first use
+    assert fresh(f"import {module}, sys; print(sorted(sys.modules.keys() & {absent!r}))") == "[]"
+
+
+def test_star_import_and_dir_list_the_public_names():
+    code = ("from gammasd import *; import gammasd; names = set(gammasd.__all__); "
+            "print(len(names), names <= set(globals()), names <= set(dir(gammasd)))")
+    assert fresh(code) == "23 True True"
+
+
+def test_lazy_names_resolve_without_a_prior_import():
+    code = ("import gammasd, sys; "
+            "print(gammasd.GridSpec is gammasd.validation.GridSpec, "
+            "gammasd.optimize.minimize_bounded is sys.modules['gammasd.optimize'].minimize_bounded)")
+    assert fresh(code) == "True True"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'gammasd' has no attribute 'nonexistent'$"):
+        gammasd.nonexistent  # noqa: B018
+    # hasattr swallows only AttributeError
+    assert fresh("import gammasd; print(hasattr(gammasd, 'nonexistent'))") == "False"
 
 
 # each record's fields in order: fit_prior builds its records positionally, and callers unpack them
