@@ -9,6 +9,10 @@ a distribution over the noise standard deviation s with density
 Its mean and standard deviation have closed forms in the gamma ratio,
 valid for a > 1. Densities themselves are defined for all a > 0.
 
+Since f_s(s) = 2 s^-3 f_p(s^-2), both densities are one kernel,
+c b^a x^k e^-t / Gamma(a): c = 1, x = p, k = a - 1 and t = b p for the
+precision, and c = 2, x = s, k = -2a - 1 and t = b / s^2 for the SD.
+
 Every gamma ratio in the library goes through one kernel, _g(x) =
 Gamma(x + 1)^2 / Gamma(x + 1/2)^2 - x with x = a - 1, which Watson's
 inequality (Proc. Edinburgh Math. Soc. 11, 1959) confines to (1/4, 1/pi].
@@ -30,8 +34,6 @@ __all__ = [
     "sd_moments",
 ]
 
-_LOG_2 = math.log(2.0)
-
 
 def log_gamma(x: float) -> float:
     """Natural logarithm of the Gamma function for x > 0.
@@ -39,7 +41,8 @@ def log_gamma(x: float) -> float:
     The platform's math.lgamma, restricted to the positive axis: it would
     otherwise return log|Gamma(x)| for negative non-integers. Above about
     2.56e305 the result exceeds the largest double and is +inf, as in IEEE
-    overflow; the densities treat such shapes on their own branch.
+    overflow. No library code calls it: _g and the density kernel call
+    math.lgamma directly, on arguments known to be positive.
     """
     if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
@@ -119,22 +122,39 @@ class SdSummary(_SdSummary):
         return cls(*iterable)
 
 
-def precision_pdf(p: float, params: GammaParams) -> float:
-    """Gamma(a, b) density over the precision; 0 outside the support p > 0.
+def _kernel(log_c: float, a: float, b: float, x: float, k: float, t: float) -> float:
+    """c b^a x^k e^-t / Gamma(a) at finite x > 0, with log_c = log c,
+    evaluated in log space and exponentiated last, so b^a cannot overflow.
 
-    Evaluated in log space and exponentiated last so b^a cannot overflow.
-    Where log_gamma(a) overflows, the relative SD 1/sqrt(a) is below 2e-153,
-    far below the spacing of doubles: the density is 0 except where b p
-    equals a, and there Stirling's formula gives sqrt(a / (2 pi)) / p.
+    Where lgamma(a) overflows (a above about 2.56e305), the relative SD
+    1/sqrt(a) of the precision is below 2e-153, far below the spacing of
+    doubles: the density is 0 except where t equals a, and there Stirling's
+    formula gives c sqrt(a / (2 pi)) / x. Where t overflows, e^-t underflows
+    past the other factors and the density is 0. Otherwise a value past the
+    largest double, or a nan from an overflowed term, raises ValueError.
     """
+    try:
+        # GammaParams keeps a > 0, so lgamma can only overflow; going through
+        # log_gamma would add a call and its check to every density
+        log_gamma_a = math.lgamma(a)
+    except OverflowError:
+        return math.exp(log_c) * math.sqrt(a / math.tau) / x if t == a else 0.0
+    log_pdf = log_c + a * math.log(b) - log_gamma_a + k * math.log(x) - t
+    if log_pdf <= 709.782712893384:  # the log of the largest double; false for nan
+        return math.exp(log_pdf)
+    if t == math.inf:
+        return 0.0
+    raise ValueError(f"x = {x:g} gives a log density of {log_pdf:g}, outside the double range")
+
+
+def precision_pdf(p: float, params: GammaParams) -> float:
+    """Gamma(a, b) density over the precision; 0 outside the support p > 0
+    and at +inf, nan at nan. The kernel with c = 1 at x = p, k = a - 1 and
+    t = b p."""
     if not 0.0 < p < math.inf:
-        return 0.0 if p == p else p  # 0 off the support and at +inf; nan stays nan
+        return 0.0 if p == p else p
     a, b = params.a, params.b
-    log_gamma_a = log_gamma(a)
-    if log_gamma_a == math.inf:
-        return math.sqrt(a / math.tau) / p if b * p == a else 0.0
-    log_pdf = a * math.log(b) - log_gamma_a + (a - 1.0) * math.log(p) - p * b
-    return math.exp(log_pdf)
+    return _kernel(0.0, a, b, p, a - 1.0, p * b)
 
 
 def precision_moments(params: GammaParams) -> tuple[float, float]:
@@ -143,32 +163,16 @@ def precision_moments(params: GammaParams) -> tuple[float, float]:
 
 
 def sd_pdf(s: float, params: GammaParams) -> float:
-    """Density of the induced SD distribution; 0 outside the support s > 0.
-
-    Where log_gamma(a) overflows, as in precision_pdf: 0 except where b/s^2
-    equals a, and there 2 sqrt(a / (2 pi)) / s.
-    """
-    if s <= 0.0:
-        return 0.0
+    """Density of the induced SD distribution, f_s(s) = 2 s^-3 f_p(1/s^2);
+    0 outside the support s > 0 and at +inf, nan at nan. The kernel with
+    c = 2 at x = s, k = -2a - 1 and t = b / s^2."""
+    if not 0.0 < s < math.inf:
+        return 0.0 if s == s else s
     a, b = params.a, params.b
-    log_gamma_a = log_gamma(a)
-    if log_gamma_a == math.inf:
-        # b / s / s: s * s turns subnormal, and loses digits, below about 1.5e-154
-        return 2.0 * math.sqrt(a / math.tau) / s if b / s / s == a else 0.0
-    log_s, log_b = math.log(s), math.log(b)
-    # b/s^2 in log space; s*s underflows for s below ~1e-154
-    log_q = log_b - 2.0 * log_s
-    if log_q > 709.0:
-        # exp(-b/s^2) underflows past anything the polynomial factor adds
-        return 0.0
-    log_pdf = (
-        _LOG_2
-        + a * log_b
-        - log_gamma_a
-        - (2.0 * a + 1.0) * log_s
-        - math.exp(log_q)
-    )
-    return math.exp(log_pdf)
+    # log 2 enters the exponent: 2 exp(y) would keep one bit fewer of a
+    # subnormal density, and would overflow where exp(y) does not.
+    # b / s / s: s * s turns subnormal, and loses digits, below about 1.5e-154
+    return _kernel(0.6931471805599453, a, b, s, -2.0 * a - 1.0, b / s / s)
 
 
 def sd_moments(params: GammaParams) -> SdSummary:

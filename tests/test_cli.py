@@ -200,6 +200,25 @@ class TestPdf:
         xs = [float(line.split(",")[0]) for line in capsys.readouterr().out.splitlines()[1:]]
         assert xs == [0.0, 8.9884656743115785e307, 1.7976931348623157e308]
 
+    @pytest.mark.parametrize("a, b, bounds, rows_before", [
+        ("0.01", "1", ["--from", "5e-324", "--to", "1e-323", "--points", "2"], 0),
+        # the overflow comes from cancellation in the log density here
+        ("2.54e305", "1e300", ["--from", "2.54e5", "--to", "2.55e5", "--points", "2"], 0),
+        ("2.55e305", "1.7e308", ["--from", "1.4e-3", "--to", "1.6e-3", "--points", "3"], 0),
+        # 0 at -1e-313 and at 0, past the largest double at 1e-313
+        ("0.001", "1", ["--from=-1e-313", "--to", "1e-313", "--points", "3"], 2),
+    ])
+    def test_density_past_double_range(self, a, b, bounds, rows_before, capsys):
+        code = run(["pdf", "--dist", "precision", "--a", a, "--b", b, *bounds])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: x = ") and captured.err.count("\n") == 1
+        assert "outside the double range" in captured.err
+        # the rows before the failing point stay on stdout
+        lines = captured.out.splitlines()
+        assert lines[0] == "x,density"
+        assert [float(line.split(",")[1]) for line in lines[1:]] == [0.0] * rows_before
+
 
 class TestValidate:
     def test_reduced_grid_summary_and_csv(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import pytest
@@ -57,13 +58,15 @@ class TestPrecisionPdf:
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_zero_at_infinity(self, a):
-        # as sd_pdf; (a - 1) log(p) - p b alone is inf - inf there
-        assert precision_pdf(math.inf, GammaParams(a, 2.0)) == 0.0
-        assert precision_pdf(-math.inf, GammaParams(a, 2.0)) == 0.0
+        # the densities share one guard; (a - 1) log(p) - p b alone is inf - inf there
+        for density in (precision_pdf, sd_pdf):
+            assert density(math.inf, GammaParams(a, 2.0)) == 0.0
+            assert density(-math.inf, GammaParams(a, 2.0)) == 0.0
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_nan_propagates(self, a):
-        assert math.isnan(precision_pdf(math.nan, GammaParams(a, 2.0)))
+        for density in (precision_pdf, sd_pdf):
+            assert math.isnan(density(math.nan, GammaParams(a, 2.0)))
 
     def test_large_shape_no_overflow(self):
         # b^a would overflow without log-space evaluation
@@ -106,6 +109,46 @@ class TestBeyondLogGammaRange:
         assert sd_pdf(1e-155, params) == 2.0 * math.sqrt(1e306 / math.tau) / 1e-155
 
 
+class TestPastDoubleRange:
+    @pytest.mark.parametrize("density, x, params", [
+        # log density 732.4: the density, about 1.3e318, is past the largest double
+        (precision_pdf, 5e-324, GammaParams(0.01, 1.0)),
+        # a log b and lgamma(a) near 1.8e308 cancel to a spurious 9e291
+        (precision_pdf, 2.54e5, GammaParams(2.54e305, 1e300)),
+        (sd_pdf, 1.0 / math.sqrt(2.54e5), GammaParams(2.54e305, 1e300)),
+        # a log b overflows while lgamma(a) does not: the log density is +inf
+        (precision_pdf, 1.5e-3, GammaParams(2.55e305, 1.7e308)),
+    ])
+    def test_raises_value_error(self, density, x, params):
+        with pytest.raises(ValueError, match="outside the double range"):
+            density(x, params)
+
+    def test_overflowed_rate_term_gives_zero(self):
+        # b p is +inf, and so is (a - 1) log p: e^-(b p) underflows past the rest
+        assert precision_pdf(1.7e308, GammaParams(2.55e305, 10.0)) == 0.0
+
+
+class TestAtForwardSpread:
+    def test_against_mpmath(self):
+        # shapes, rates and points as the forward benchmark draws them:
+        # log-uniform a in [1.1, 1e4] and b in [1e-4, 1e4], p within 3 prior SDs
+        rng = random.Random(20261019)
+        worst_p = worst_s = 0.0
+        for _ in range(600):
+            a = 10.0 ** rng.uniform(math.log10(1.1), 4.0)
+            b = 10.0 ** rng.uniform(-4.0, 4.0)
+            p = (a / b) * math.exp(rng.uniform(-3.0, 3.0) / math.sqrt(a))
+            s = 1.0 / math.sqrt(p)
+            params = GammaParams(a, b)
+            with mpmath.workdps(40):
+                want_p = mpmath.exp(mp_log_precision_pdf(p, a, b))
+                s_ = mpmath.mpf(s)
+                want_s = 2 / s_**3 * mpmath.exp(mp_log_precision_pdf(1 / s_**2, a, b))
+                worst_p = max(worst_p, float(abs(precision_pdf(p, params) / want_p - 1)))
+                worst_s = max(worst_s, float(abs(sd_pdf(s, params) / want_s - 1)))
+        assert worst_p < 1e-10 and worst_s < 1e-10
+
+
 class TestPrecisionMoments:
     @pytest.mark.parametrize(
         "a, b, mean, var",
@@ -132,6 +175,8 @@ class TestSdPdf:
 
     def test_tiny_argument_underflows_to_zero(self):
         assert sd_pdf(1e-200, GammaParams(2.0, 2.0)) == 0.0
+        # b/s^2 is +inf, and so is (2a + 1) log(1/s): the log density is inf - inf
+        assert sd_pdf(1e-200, GammaParams(2e305, 1.0)) == 0.0
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 5.0, 20.0])
     @pytest.mark.parametrize("b", [0.1, 1.0, 10.0])
