@@ -13,12 +13,11 @@ non-convergence. Results go to stdout, diagnostics to stderr.
 # Ahead of argparse: without a bytecode cache, the memory that compiling the
 # sweep takes is then reused by argparse rather than stacked on it, which
 # keeps about 0.15 MB off the peak resident set of `gammasd validate`.
-from .validation import GridSpec, _rows, _summarize_rows
+from .validation import GridSpec, _sweep
 
 import argparse
 import math
 import sys
-from contextlib import nullcontext
 from typing import Sequence
 
 from .distributions import GammaParams, precision_pdf, sd_moments, sd_pdf
@@ -143,10 +142,7 @@ def _cmd_pdf(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     spec = GridSpec._make(getattr(args, name) for name in GridSpec._fields)
-    rows = _rows(spec, args.workers)
-    # opened before the first row is solved, so a bad path fails fast
-    with open(args.out, "w", newline="") if args.out is not None else nullcontext() as fh:
-        summary = _summarize_rows(rows, fh)
+    summary = _sweep(spec, args.workers, args.out)
 
     print(f"cells {summary.n_cells}")
     print(f"passed {summary.n_passed}")

@@ -158,8 +158,15 @@ def precision_pdf(p: float, params: GammaParams) -> float:
 
 
 def precision_moments(params: GammaParams) -> tuple[float, float]:
-    """Mean a/b and variance a/b^2 of the precision distribution."""
-    return params.a / params.b, params.a / (params.b * params.b)
+    """Mean a/b and variance a/b^2 of the precision distribution; ValueError
+    where either is past the largest double."""
+    a, b = params.a, params.b
+    # a / b / b: b * b underflows to 0 below about 1.5e-154
+    mean, var = a / b, a / b / b
+    if var == math.inf:  # a / b overflows only where b < 1, and var = (a / b) / b
+        raise ValueError(f"a = {a} and b = {b} give a precision variance a/b^2 "
+                         "outside the double range")
+    return mean, var
 
 
 def sd_pdf(s: float, params: GammaParams) -> float:

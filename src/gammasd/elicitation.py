@@ -90,13 +90,23 @@ def residual_D(a: float, mu0: float, sigma0: float) -> float:
 
     D(a) = mu0^2 / S(a) - sigma0^2 / (1/(a-1) - S(a)), evaluated without
     cancellation as (x + g) (mu0^2 - (sigma0 / sqrt(g / x))^2) with x = a - 1
-    and g = g(x). It decreases through its root and is defined for a > 1.
+    and g = g(x). It decreases through its root and is defined for a > 1;
+    ValueError where D is past the largest double.
     """
     _validate_targets(mu0, sigma0)
     if a <= 1.0:
         raise ValueError(f"residual_D requires a > 1, got {a}")
     c, _, cv = _sd_shape_factors(a)
-    return c * (mu0 * mu0 - (sigma0 / cv) ** 2)
+    try:
+        # ** 2, not x * x: the platform's pow rounds about 0.1 % of squares
+        # to the other neighbour, and D keeps its values bit for bit
+        d = c * (mu0 * mu0 - (sigma0 / cv) ** 2)
+    except OverflowError:
+        d = math.inf
+    if not math.isfinite(d):
+        raise ValueError(f"a = {a}, mu0 = {mu0} and sigma0 = {sigma0} give "
+                         "D outside the double range")
+    return d
 
 
 def objective(a: float, mu0: float, sigma0: float) -> float:

@@ -6,11 +6,13 @@ round-trip relative errors below 1 %). Per-cell numerical failures are
 recorded as failed cells; the sweep itself never aborts. The row of one
 mu is the unit of work: a row step solves it into plain tuples in
 CellResult's field order, and one fold over the rows, in row-major order,
-writes each row's CSV text and folds it into the GridSummary. validate
-streams rows through that fold, holding one row at a time (two per worker
-with a pool), so the output is identical whatever the degree of
-concurrency. run_grid builds CellResults from the rows; summarize and
-write_csv group CellResults back into rows.
+writes each row's CSV text and folds it into the GridSummary. _sweep is
+validate's one entry: it checks the workers, opens the CSV and writes its
+header, then streams rows through that fold, holding one row at a time
+(two per worker with a pool), so the output is identical whatever the
+degree of concurrency. Each sweep process solves each distinct sigma/mu
+once per run. run_grid builds CellResults from the rows; write_csv writes
+them cell by cell, and only summarize groups them back into rows.
 """
 
 # no postponed annotations: each named-tuple field's would compile to a ForwardRef
@@ -21,7 +23,7 @@ from collections import deque
 from functools import wraps
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .elicitation import _scale, _solve_shape
 
@@ -40,6 +42,10 @@ _CSV_LINE = "%s" + ",%.17g" * 7 + ",%s\n"
 
 # _solve_shape's tuple as a sweep keeps it: 74 B packed, 210 B as a tuple.
 _PACKED_SHAPE = struct.Struct("4dq?")
+
+# A pool worker's shape cache, for every row it solves. Workers live for one
+# sweep, so it lives for one run; a serial sweep passes _row its own.
+_WORKER_SHAPES: dict = {}
 
 # Robust operating region suggested by the full sweep: the inverse
 # transform is reliable for 2e-3 < mu < 1e4 and 3e-3 < sigma/mu < 50.
@@ -143,11 +149,11 @@ def _log_spaced(lo: float, hi: float, n: int) -> list[float]:
     return values
 
 
-def _row(mu: float, sigmas: list[float], shapes: dict) -> list[tuple]:
+def _row(mu: float, sigmas: list[float], shapes: dict = _WORKER_SHAPES) -> list[tuple]:
     """fit_prior(mu, sigma) for each sigma of a row, as tuples in CellResult's
     field order; GridSpec keeps mu and sigma positive and finite. shapes maps
     each sigma/mu solved so far to its packed shape step, or to None where
-    that step raised."""
+    that step raised; a pool worker's rows share _WORKER_SHAPES."""
     cells = []
     for sigma in sigmas:
         r = sigma / mu
@@ -175,7 +181,7 @@ def _rows(spec: GridSpec, workers: int | None) -> Iterator[list[tuple]]:
     # a row travels as its mu and sigma values: unpickling a GridSpec re-runs its checks
     rows = ((mu, spec.sigma_values(mu)) for mu in mus)
     if n_workers == 1:
-        shapes: dict = {}  # one per run; each pool row gets its own
+        shapes: dict = {}  # one per run, so the parent holds none after a sweep
         return (_row(mu, sigmas, shapes) for mu, sigmas in rows)
 
     def pooled() -> Iterator[list[tuple]]:
@@ -186,7 +192,7 @@ def _rows(spec: GridSpec, workers: int | None) -> Iterator[list[tuple]]:
             for mu, sigmas in rows:
                 if len(window) == 2 * n_workers:
                     yield window.popleft().result()
-                window.append(pool.submit(_row, mu, sigmas, {}))
+                window.append(pool.submit(_row, mu, sigmas))
             while window:
                 yield window.popleft().result()
 
@@ -212,10 +218,7 @@ def summarize(results: Iterable[CellResult]) -> GridSummary:
 
 def _summarize_rows(rows: Iterable[list], fh: TextIO | None = None) -> GridSummary:
     """summarize over rows of cells, tuples in CellResult's field order.
-    With fh, writes the CSV header to it first and then the text of each
-    row as it goes by."""
-    if fh is not None:
-        fh.write(CSV_HEADER + "\n")
+    With fh, writes the CSV text of each row to it as it goes by."""
     n_cells = n_passed = n_inside = n_inside_passed = 0
     mus: list[float] = []
     ratios: list[float] = []
@@ -269,9 +272,9 @@ def _summarize_rows(rows: Iterable[list], fh: TextIO | None = None) -> GridSumma
     )
 
 
-def _csv_text(row: list) -> str:
+def _csv_text(row: Sequence[tuple]) -> str:
     """The CSV lines of a row of cells: reals at 17 significant digits,
-    booleans as true/false, mu formatted once."""
+    booleans as true/false, mu formatted once from the first cell."""
     mu = "%.17g" % row[0][0]
     return "".join([_CSV_LINE % (mu, *c[1:8], "true,true" if c[8] else "false,false")
                     for c in row])
@@ -283,6 +286,16 @@ def write_csv(results: Iterable[CellResult], path: str) -> None:
     preserved."""
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        # a row formats mu once, and 0.0 == -0.0 is written as 0 and -0
-        rows = groupby(results, lambda c: (c[0], math.copysign(1.0, c[0])))
-        fh.writelines(_csv_text(list(row)) for _, row in rows)
+        fh.writelines(_csv_text((c,)) for c in results)
+
+
+def _sweep(spec: GridSpec, workers: int | None, path: str | None) -> GridSummary:
+    """validate's sweep: the GridSummary of spec, and with path, its CSV
+    written there. workers below 1 raises ValueError before path is touched,
+    and path is opened and given its header before the first row is solved."""
+    rows = _rows(spec, workers)
+    if path is None:
+        return _summarize_rows(rows)
+    with open(path, "w", newline="") as fh:
+        fh.write(CSV_HEADER + "\n")
+        return _summarize_rows(rows, fh)

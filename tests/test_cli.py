@@ -259,12 +259,13 @@ class TestValidate:
 
     def test_defaults_are_gridspec_defaults(self, monkeypatch, capsys):
         seen = []
+        real = validation._rows
 
         def one_row(spec, workers):
             seen.append(spec)
-            return validation._rows(GridSpec(mu_points=1, sigma_points=1), workers)
+            return real(GridSpec(mu_points=1, sigma_points=1), workers)
 
-        monkeypatch.setattr(cli, "_rows", one_row)
+        monkeypatch.setattr(validation, "_rows", one_row)
         cli._cmd_validate(cli._build_parser().parse_args(["validate"]))
         assert seen == [GridSpec()]
 
@@ -294,6 +295,18 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "sigma_ratio_lo * mu_lo" in captured.err
+        assert out_file.read_bytes() == b"kept\n"
+
+    def test_bad_workers_leaves_out_file(self, tmp_path, capsys):
+        out_file = tmp_path / "cells.csv"
+        out_file.write_bytes(b"kept\n")
+        code = run(["validate", "--mu-points", "2", "--sigma-points", "2", "--workers", "0",
+                    "--out", str(out_file)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "workers" in captured.err
         assert out_file.read_bytes() == b"kept\n"
 
     def test_unwritable_out_path(self, tmp_path, monkeypatch, capsys):

@@ -152,7 +152,8 @@ class TestAtForwardSpread:
 class TestPrecisionMoments:
     @pytest.mark.parametrize(
         "a, b, mean, var",
-        [(2.0, 2.0, 1.0, 0.5), (1.0, 1.0, 1.0, 1.0), (3.0, 6.0, 0.5, 1.0 / 12.0)],
+        [(2.0, 2.0, 1.0, 0.5), (1.0, 1.0, 1.0, 1.0), (3.0, 6.0, 0.5, 1.0 / 12.0),
+         (1e-300, 1e-160, 1e-140, 1e20)],  # b * b underflows
     )
     def test_values(self, a, b, mean, var):
         got_mean, got_var = precision_moments(GammaParams(a, b))

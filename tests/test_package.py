@@ -1,5 +1,6 @@
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +14,20 @@ from gammasd import (
     GridSpec,
     GridSummary,
     OptimResult,
+    S,
     SdSummary,
     fit_prior,
+    log_gamma,
     minimize_bounded,
+    objective,
+    precision_moments,
+    precision_pdf,
+    residual_D,
     run_grid,
+    sd_moments,
+    sd_pdf,
     summarize,
+    upper_bound_a,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -82,6 +92,38 @@ def test_unknown_name_raises_attribute_error():
         gammasd.nonexistent  # noqa: B018
     # hasattr swallows only AttributeError
     assert fresh("import gammasd; print(hasattr(gammasd, 'nonexistent'))") == "False"
+
+
+# Each public numeric entry point as a function of three positive doubles,
+# with the inputs that once escaped as another exception first. A shape
+# that must exceed 1 is 1 + the draw.
+ENTRY_POINTS = {
+    "precision_moments": (lambda x, y, z: precision_moments(GammaParams(1.0 + x, y)),
+                          [(0.0, 1e-200, 1.0)]),  # b * b underflowed to 0
+    "sd_moments": (lambda x, y, z: sd_moments(GammaParams(1.0 + x, y)), []),
+    "S": (lambda x, y, z: S(1.0 + x), []),
+    "residual_D": (lambda x, y, z: residual_D(1.0 + x, y, z),
+                   [(1e-7, 1.0, 1e300), (1.0, 1e200, 1e200), (1.0, 1e200, 1.0)]),
+    "objective": (lambda x, y, z: objective(1.0 + x, y, z), [(1e-7, 1.0, 1e300)]),
+    "upper_bound_a": (lambda x, y, z: upper_bound_a(x, y), []),
+    "fit_prior": (lambda x, y, z: fit_prior(x, y), []),
+    "precision_pdf": (lambda x, y, z: precision_pdf(x, GammaParams(y, z)), []),
+    "sd_pdf": (lambda x, y, z: sd_pdf(x, GammaParams(y, z)), []),
+    "log_gamma": (lambda x, y, z: log_gamma(x), []),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_every_failure_is_a_value_error(name):
+    # 2000 seeded log-uniform draws over [1e-320, 1e308] for each argument
+    call, known = ENTRY_POINTS[name]
+    rng = random.Random(name)
+    draws = [tuple(10.0 ** rng.uniform(-320.0, 308.0) for _ in range(3)) for _ in range(2000)]
+    for args in known + draws:
+        try:
+            call(*args)
+        except ValueError:
+            pass
 
 
 # each record's fields in order: fit_prior builds its records positionally, and callers unpack them

@@ -402,6 +402,43 @@ class TestShapeReuse:
         assert len(ratios) == 399
         assert len(calls) == 399 and set(calls) == ratios
 
+    def test_pool_worker_solves_each_ratio_once(self, monkeypatch):
+        # an in-process pool is one worker for every row: its rows share
+        # one cache, which starts empty
+        class FakePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        calls = []
+        real = validation._solve_shape
+
+        def counting(r):
+            calls.append(r)
+            return real(r)
+
+        validation._WORKER_SHAPES.clear()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(validation.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(validation, "_solve_shape", counting)
+        spec = GridSpec(mu_points=48, sigma_points=48)
+        try:
+            pooled = run_grid(spec, workers=2)
+        finally:
+            validation._WORKER_SHAPES.clear()
+        assert len(calls) == 399  # one per distinct ratio, as in a serial run
+        assert pooled == run_grid(spec, workers=1)
+
     def test_failing_ratio_solved_once(self, monkeypatch):
         # sigma/mu = 1e9 raises in the shape step; the cache remembers it
         calls = []
