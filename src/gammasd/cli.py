@@ -130,12 +130,13 @@ def _cmd_pdf(args: argparse.Namespace) -> int:
     params = GammaParams(a=args.a, b=args.b)
     density = precision_pdf if args.dist == "precision" else sd_pdf
     step = (args.x1 - args.x0) / (args.points - 1)
-    # every x lies between --from and the last x, which an inf bound or step spoils
-    if not math.isfinite(args.x0 + (args.points - 1) * step):
+    # every x lies between --from and --to, so only an inf bound or step spoils one
+    if not math.isfinite(step):
         raise _UsageError("--from, --to and the points between them must be finite")
     print("x,density")
     for i in range(args.points):
-        x = args.x0 + i * step
+        # the last x is --to itself, where --from + i * step may round off it
+        x = args.x0 + i * step if i < args.points - 1 else args.x1
         print(f"{x:.17g},{density(x, params):.17g}")
     return 0
 

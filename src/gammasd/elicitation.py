@@ -97,12 +97,8 @@ def residual_D(a: float, mu0: float, sigma0: float) -> float:
     if a <= 1.0:
         raise ValueError(f"residual_D requires a > 1, got {a}")
     c, _, cv = _sd_shape_factors(a)
-    try:
-        # ** 2, not x * x: the platform's pow rounds about 0.1 % of squares
-        # to the other neighbour, and D keeps its values bit for bit
-        d = c * (mu0 * mu0 - (sigma0 / cv) ** 2)
-    except OverflowError:
-        d = math.inf
+    s = sigma0 / cv
+    d = c * (mu0 * mu0 - s * s)
     if not math.isfinite(d):
         raise ValueError(f"a = {a}, mu0 = {mu0} and sigma0 = {sigma0} give "
                          "D outside the double range")

@@ -172,6 +172,21 @@ class TestPdf:
         assert densities[0] == densities[2] == 0.0
         assert densities[1] == pytest.approx(2.0 * math.sqrt(2.5e307 / math.tau), rel=1e-12)
 
+    @pytest.mark.parametrize("x0, x1, points", [
+        # 0.2 + 2 * 0.35 rounds to 0.89999999999999991
+        ("0.2", "0.9", "3"),
+        # 0 + 3 * step overflows, though every x is finite
+        ("0", "1.7976931348623157e308", "4"),
+    ])
+    def test_last_x_is_to(self, x0, x1, points, capsys):
+        code = run(["pdf", "--dist", "sd", "--a", "2", "--b", "2",
+                    "--from", x0, "--to", x1, "--points", points])
+        assert code == 0
+        xs = [float(line.split(",")[0]) for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(xs) == int(points)
+        assert xs[0] == float(x0) and xs[-1] == float(x1)
+        assert xs == sorted(xs)
+
     def test_bad_range(self, capsys):
         code = run(
             ["pdf", "--dist", "sd", "--a", "2", "--b", "2",
