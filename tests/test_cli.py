@@ -439,6 +439,25 @@ class TestValidateBytes:
         assert hashlib.sha256(stdout).hexdigest() == self.STDOUT_SHA256
 
 
+@pytest.mark.long
+class TestValidateBytesFullGrid:
+    # SHA-256 of the CSV and stdout of `validate --workers 1` on the default
+    # 1000 x 1000 grid; like the 48 x 48 pin, they depend on the platform's libm
+    CSV_SHA256 = "0a81b3f6c48dc1a1f35e3468188aca19d543dfe087c946c34f1943f3065b01ad"
+    STDOUT_SHA256 = "d9266e030fb258288c941b00aeda5c2c5352414c30ae7b4f985c8c99306edc65"
+
+    def test_default_grid_output_is_pinned(self, tmp_path, capsys):
+        out_file = tmp_path / "cells.csv"
+        assert run(["validate", "--workers", "1", "--out", str(out_file)]) == 0
+        stdout = capsys.readouterr().out.encode()
+        digest = hashlib.sha256()
+        with open(out_file, "rb") as fh:  # about 156 MB: hashed a block at a time
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+        assert digest.hexdigest() == self.CSV_SHA256
+        assert hashlib.sha256(stdout).hexdigest() == self.STDOUT_SHA256
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",

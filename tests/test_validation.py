@@ -257,6 +257,58 @@ class TestSummarize:
         assert (lo_mu, hi_mu) == (2.0, 4.0)
         assert lo_r == pytest.approx(0.2) and hi_r == pytest.approx(0.4)
 
+    @staticmethod
+    def rectangle_of(grid):
+        """summarize's rectangle over a grid of pass bits, as (row_lo, row_hi,
+        col_lo, col_hi) indices; mu and sigma/mu are exact powers of 2."""
+        cells = [make_cell(2.0 ** i, 2.0 ** (i + j), passed=bit)
+                 for i, row in enumerate(grid) for j, bit in enumerate(row)]
+        rect = summarize(cells).pass_rectangle
+        if rect is None:
+            return None
+        mu_lo, mu_hi, ratio_lo, ratio_hi = (int(math.log2(x)) for x in rect)
+        return mu_lo, mu_hi, ratio_lo, ratio_hi
+
+    def test_rectangle_is_maximal_on_random_grids(self):
+        rng = random.Random(20210117)
+        kinds = set()
+        for _ in range(500):
+            n, m, p = rng.randint(1, 7), rng.randint(1, 7), rng.random()
+            grid = [[rng.random() < p for _ in range(m)] for _ in range(n)]
+            best = 0  # brute force: every rectangle, by its rows and then its columns
+            for r0 in range(n):
+                cols_pass = [True] * m
+                for r1 in range(r0, n):
+                    cols_pass = [ok and bit for ok, bit in zip(cols_pass, grid[r1])]
+                    for c0 in range(m):
+                        c1 = c0
+                        while c1 < m and cols_pass[c1]:
+                            best = max(best, (r1 - r0 + 1) * (c1 - c0 + 1))
+                            c1 += 1
+            rect = self.rectangle_of(grid)
+            kinds.add(rect is None)
+            if rect is None:
+                assert best == 0
+                continue
+            r0, r1, c0, c1 = rect
+            assert all(grid[i][j] for i in range(r0, r1 + 1) for j in range(c0, c1 + 1))
+            assert (r1 - r0 + 1) * (c1 - c0 + 1) == best
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize(
+        "grid, expected",
+        [
+            # two single cells: the first row's wins
+            ([[1, 0], [0, 1]], (0, 0, 0, 0)),
+            # a 1 x 2 run in the first row and a 2 x 1 column below it
+            ([[1, 1, 0], [0, 0, 1], [0, 0, 1]], (0, 0, 0, 1)),
+            # within one row, the 2 x 1 column pops before the 1 x 2 run beside it
+            ([[1, 0], [1, 1]], (0, 1, 0, 0)),
+        ],
+    )
+    def test_tied_rectangles_keep_the_first_found(self, grid, expected):
+        assert self.rectangle_of(grid) == expected
+
     def test_empty_input(self):
         with pytest.raises(ValueError):
             summarize([])
