@@ -6,13 +6,14 @@ round-trip relative errors below 1 %). Per-cell numerical failures are
 recorded as failed cells; the sweep itself never aborts. The row of one
 mu is the unit of work: a row step solves it into plain tuples in
 CellResult's field order, and one fold over the rows, in row-major order,
-writes each row's CSV text and folds it into the GridSummary. _sweep is
-validate's one entry: it checks the workers, opens the CSV and writes its
-header, then streams rows through that fold, holding one row at a time
-(two per worker with a pool), so the output is identical whatever the
-degree of concurrency. Each sweep process solves each distinct sigma/mu
-once per run. run_grid builds CellResults from the rows; write_csv writes
-them cell by cell, and only summarize groups them back into rows.
+folds their pass bits into the GridSummary. _sweep is validate's one
+entry: it checks the workers, opens the CSV and writes its header, then
+streams rows into that fold, writing each row's CSV text on the way in and
+holding one row at a time (two per worker with a pool), so the output is
+identical whatever the degree of concurrency. Each sweep process solves
+each distinct sigma/mu once per run. run_grid builds CellResults from the
+rows; write_csv writes them cell by cell, and only summarize groups them
+back into rows.
 """
 
 # no postponed annotations: each named-tuple field's would compile to a ForwardRef
@@ -164,7 +165,7 @@ def _row(mu: float, sigmas: list[float], shapes: dict = _WORKER_SHAPES) -> list[
             if shapes[r] is not None:
                 cells.append((mu, sigma, *_scale(mu, sigma, _PACKED_SHAPE.unpack(shapes[r]))))
                 continue
-        except (ValueError, OverflowError):
+        except ValueError:
             pass
         cells.append((mu, sigma, *(math.nan,) * 4, math.inf, math.inf, False))
     return cells
@@ -216,53 +217,44 @@ def summarize(results: Iterable[CellResult]) -> GridSummary:
     return _summarize_rows(list(row) for _, row in groupby(results, itemgetter(0)))
 
 
-def _summarize_rows(rows: Iterable[list], fh: TextIO | None = None) -> GridSummary:
-    """summarize over rows of cells, tuples in CellResult's field order.
-    With fh, writes the CSV text of each row to it as it goes by."""
+def _summarize_rows(rows: Iterable[list]) -> GridSummary:
+    """summarize over rows of cells, tuples in CellResult's field order. It
+    only folds: each row's pass bits are read once, and the largest
+    all-pass rectangle comes from a sentinel stack scan over the column
+    heights, keeping the first strictly larger area found."""
     n_cells = n_passed = n_inside = n_inside_passed = 0
     mus: list[float] = []
     ratios: list[float] = []
     heights: list[int] | None = None  # None once a row's length differs
-    best_area, best = 0, None  # best: (row_lo, row_hi, col_lo, col_hi)
-    for i, row in enumerate(rows):
-        if fh is not None:
-            fh.write(_csv_text(row))
-        mu = row[0][0]
-        if i == 0:
+    best_area, rect = 0, None
+    for row in rows:
+        mu, passed = row[0][0], [c[8] for c in row]
+        if not mus:
             ratios = [c[1] / mu for c in row]
             heights = [0] * len(row)
         mus.append(mu)
         n_cells += len(row)
-        n_passed += sum(c[8] for c in row)
+        n_passed += sum(passed)
         if CUTOFF_MU[0] < mu < CUTOFF_MU[1]:
-            inside = [c[8] for c in row if CUTOFF_RATIO[0] < c[1] / mu < CUTOFF_RATIO[1]]
+            inside = [p for c, p in zip(row, passed)
+                      if CUTOFF_RATIO[0] < c[1] / mu < CUTOFF_RATIO[1]]
             n_inside += len(inside)
             n_inside_passed += sum(inside)
         if heights is None or len(row) != len(heights):
-            heights = None
+            heights = rect = None
             continue
-        heights = [h + 1 if c[8] else 0 for h, c in zip(heights, row)]
+        heights = [h + 1 if p else 0 for h, p in zip(heights, passed)]
         stack: list[int] = []
-        j = 0
-        while j <= len(row):
-            h = heights[j] if j < len(row) else 0
-            if not stack or heights[stack[-1]] <= h:
-                stack.append(j)
-                j += 1
-                continue
-            top = stack.pop()
-            col_lo = stack[-1] + 1 if stack else 0
-            area = heights[top] * (j - col_lo)
-            if area > best_area:
-                best_area = area
-                best = (i - heights[top] + 1, i, col_lo, j - 1)
+        for j, h in enumerate(heights + [0]):
+            while stack and heights[stack[-1]] > h:
+                height = heights[stack.pop()]
+                col_lo = stack[-1] + 1 if stack else 0
+                if height * (j - col_lo) > best_area:
+                    best_area = height * (j - col_lo)
+                    rect = (mus[-height], mu, ratios[col_lo], ratios[j - 1])
+            stack.append(j)
     if not n_cells:
         raise ValueError("summarize requires a non-empty result collection")
-
-    rect = None
-    if heights is not None and best is not None:
-        r0, r1, c0, c1 = best
-        rect = (mus[r0], mus[r1], ratios[c0], ratios[c1])
     return GridSummary(
         n_cells=n_cells,
         n_passed=n_passed,
@@ -289,13 +281,21 @@ def write_csv(results: Iterable[CellResult], path: str) -> None:
         fh.writelines(_csv_text((c,)) for c in results)
 
 
+def _written(rows: Iterable[list], fh: TextIO) -> Iterator[list]:
+    """rows, each written to fh as CSV text on its way past."""
+    for row in rows:
+        fh.write(_csv_text(row))
+        yield row
+
+
 def _sweep(spec: GridSpec, workers: int | None, path: str | None) -> GridSummary:
     """validate's sweep: the GridSummary of spec, and with path, its CSV
-    written there. workers below 1 raises ValueError before path is touched,
-    and path is opened and given its header before the first row is solved."""
+    written there row by row on the way into the fold. workers below 1
+    raises ValueError before path is touched, and path is opened and given
+    its header before the first row is solved."""
     rows = _rows(spec, workers)
     if path is None:
         return _summarize_rows(rows)
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        return _summarize_rows(rows, fh)
+        return _summarize_rows(_written(rows, fh))
