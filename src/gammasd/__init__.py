@@ -21,22 +21,21 @@ _LAZY = {
     "write_csv": "validation",
 }
 
+# the lazy names in _LAZY's order are optimize's and then validation's own __all__
+__all__ = [*distributions.__all__, *elicitation.__all__,
+           *(name for name, module in _LAZY.items() if name != module)]
+
 
 def __getattr__(name):
     # importlib, not `from . import`: the import system checks the fromlist by
     # looking each name up on this package, which would land here again
-    if name == "__all__":
-        value = [*distributions.__all__, *elicitation.__all__,
-                 *importlib.import_module(".optimize", __name__).__all__,
-                 *importlib.import_module(".validation", __name__).__all__]
-    elif name in _LAZY:
-        module = importlib.import_module("." + _LAZY[name], __name__)
-        value = module if name == _LAZY[name] else getattr(module, name)
-    else:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module("." + _LAZY[name], __name__)
+    value = module if name == _LAZY[name] else getattr(module, name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted({*globals(), *_LAZY, "__all__"})
+    return sorted({*globals(), *_LAZY})

@@ -74,6 +74,16 @@ def test_import_loads_no_sweep_or_minimiser(module, absent):
     assert fresh(f"import {module}, sys; print(sorted(sys.modules.keys() & {absent!r}))") == "[]"
 
 
+def test_reading_all_loads_no_sweep_or_minimiser():
+    # __all__ is built at import from the two transform modules and the lazy table
+    code = ("import gammasd, sys; names = gammasd.__all__; "
+            "loaded = sorted(sys.modules.keys() & {'gammasd.validation', 'gammasd.optimize'}); "
+            "from gammasd import distributions, elicitation, optimize, validation; "
+            "print(loaded, names == [*distributions.__all__, *elicitation.__all__, "
+            "*optimize.__all__, *validation.__all__])")
+    assert fresh(code) == "[] True"
+
+
 def test_star_import_and_dir_list_the_public_names():
     code = ("from gammasd import *; import gammasd; names = set(gammasd.__all__); "
             "print(len(names), names <= set(globals()), names <= set(dir(gammasd)))")
