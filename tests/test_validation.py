@@ -264,10 +264,7 @@ class TestSummarize:
         cells = [make_cell(2.0 ** i, 2.0 ** (i + j), passed=bit)
                  for i, row in enumerate(grid) for j, bit in enumerate(row)]
         rect = summarize(cells).pass_rectangle
-        if rect is None:
-            return None
-        mu_lo, mu_hi, ratio_lo, ratio_hi = (int(math.log2(x)) for x in rect)
-        return mu_lo, mu_hi, ratio_lo, ratio_hi
+        return None if rect is None else tuple(int(math.log2(x)) for x in rect)
 
     def test_rectangle_is_maximal_on_random_grids(self):
         rng = random.Random(20210117)
@@ -302,7 +299,7 @@ class TestSummarize:
             ([[1, 0], [0, 1]], (0, 0, 0, 0)),
             # a 1 x 2 run in the first row and a 2 x 1 column below it
             ([[1, 1, 0], [0, 0, 1], [0, 0, 1]], (0, 0, 0, 1)),
-            # within one row, the 2 x 1 column pops before the 1 x 2 run beside it
+            # in the second row, the 2 x 1 column pops before the 1 x 2 run across it
             ([[1, 0], [1, 1]], (0, 1, 0, 0)),
         ],
     )
