@@ -1,54 +1,9 @@
 import math
-import random
 
-import mpmath as mp
 import pytest
 
-from gammasd import GammaParams, log_gamma, sd_pdf
+from gammasd import GammaParams, sd_pdf
 from quadrature import QuadratureError, QuadratureResult, integrate
-
-mp.mp.dps = 30
-
-
-class TestLogGamma:
-    # References: lgamma(1.5) from Gamma(1.5) = sqrt(pi)/2,
-    # lgamma(10) = ln(9!) = ln 362880; both confirmed by mpmath.
-    @pytest.mark.parametrize(
-        "x, expected",
-        [
-            (1.0, 0.0),
-            (2.0, 0.0),
-            (1.5, -0.120782237635245),
-            (10.0, 12.801827480081469),
-        ],
-    )
-    def test_reference_values(self, x, expected):
-        assert log_gamma(x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "x", [1e-3, 0.1, 0.25, 0.5, 0.75, 3.25, 42.0, 1e3, 1e6, 1e306]
-    )
-    def test_against_high_precision(self, x):
-        assert log_gamma(x) == pytest.approx(
-            float(mp.loggamma(x)), rel=1e-12, abs=1e-12
-        )
-
-    def test_recurrence(self):
-        # ln Gamma(x+1) = ln Gamma(x) + ln x
-        rng = random.Random(20240817)
-        for _ in range(1000):
-            x = rng.uniform(0.5, 100.0)
-            lhs = log_gamma(x + 1.0)
-            rhs = log_gamma(x) + math.log(x)
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-    def test_deterministic(self):
-        assert log_gamma(17.3) == log_gamma(17.3)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_domain_error(self, x):
-        with pytest.raises(ValueError):
-            log_gamma(x)
 
 
 class TestIntegrate:
