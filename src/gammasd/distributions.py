@@ -59,7 +59,9 @@ def _g(x: float) -> float:
     Gamma(x + 1) / (sqrt(x) Gamma(x + 1/2)) from its asymptotic series in
     odd powers of 1/x (DLMF 5.11.13, coefficients
     (-1)^(n+1) (B_(n+1)(1) - B_(n+1)(1/2)) / (n (n + 1)) for odd n, eight
-    terms). Both stay within 5e-13 relative of a 50-digit reference.
+    terms). Against a 50-digit reference the worst relative error found
+    below x = 10 is 6.8e-13, at x = 9.33 (140000 seeded uniform draws on
+    [1e-9, 10)), and above it 4.3e-16 (25000 log-uniform draws on [10, 1e8]).
     """
     if x < 10.0:
         # both arguments lie in [1/2, 11), so the checks of log_gamma cannot fire

@@ -4,8 +4,8 @@
 minimize_bounded keeps two interior points of a shrinking bracket and
 drops the side whose point is worse, one evaluation of f per iteration.
 It takes its tolerance on the argument and a hard iteration cap from the
-constants below. Pure and re-entrant. The library no longer uses it:
-fit_prior solves for the shape as a fixed point.
+constants below. Pure and re-entrant. fit_prior does not use it: it
+solves for the shape as a fixed point.
 """
 
 # no postponed annotations: each named-tuple field's would compile to a ForwardRef

@@ -15,6 +15,7 @@ from gammasd import (
     sd_moments,
     sd_pdf,
 )
+from gammasd.distributions import _g
 from mp_oracle import sd_moments as mp_sd_moments
 from quadrature import integrate
 from records import PATHS, build
@@ -110,6 +111,17 @@ class TestBeyondLogGammaRange:
         assert sd_pdf(1e-155, params) == 2.0 * math.sqrt(1e306 / math.tau) / 1e-155
 
 
+class TestLargeFiniteShape:
+    @pytest.mark.xfail(strict=True, reason="a log b, lgamma(a), (a - 1) log p and b p "
+                       "reach about 4.5e21 and cancel to O(log a) in doubles")
+    def test_precision_pdf_at_the_mode(self):
+        # the density at the mode of Gamma(1e20, 1e20) is about 3.99e9; doubles give 1.0
+        params = GammaParams(1e20, 1e20)
+        with mpmath.workdps(400):
+            expected = float(mpmath.exp(mp_log_precision_pdf(1.0, *params)))
+        assert precision_pdf(1.0, params) == pytest.approx(expected, rel=1e-4)
+
+
 class TestPastDoubleRange:
     @pytest.mark.parametrize("density, x, params", [
         # log density 732.4: the density, about 1.3e318, is past the largest double
@@ -148,6 +160,21 @@ class TestAtForwardSpread:
                 worst_p = max(worst_p, float(abs(precision_pdf(p, params) / want_p - 1)))
                 worst_s = max(worst_s, float(abs(sd_pdf(s, params) / want_s - 1)))
         assert worst_p < 1e-10 and worst_s < 1e-10
+
+
+class TestKernelG:
+    def test_lgamma_branch_against_mpmath(self):
+        # g(x) = Gamma(x + 1)^2 / Gamma(x + 1/2)^2 - x; below x = 10 it comes
+        # from lgamma, worst near x = 10 (6.8e-13 in 140000 seeded draws)
+        rng = random.Random(20261020)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for _ in range(2000):
+                x = rng.uniform(1e-9, 10.0)
+                x_ = mpmath.mpf(x)
+                want = (mpmath.gamma(x_ + 1) / mpmath.gamma(x_ + 0.5)) ** 2 - x_
+                worst = max(worst, float(abs(_g(x) - want) / want))
+        assert worst < 1e-12, worst
 
 
 class TestPrecisionMoments:

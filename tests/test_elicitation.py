@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gammasd import (
     BRACKET_EPS,
     GammaParams,
+    GridSpec,
     S,
     fit_prior,
     objective,
@@ -22,6 +23,25 @@ from mp_oracle import sd_moments as mp_sd_moments
 # Forward map of (a, b) = (2, 2)
 MU_22 = 1.2533141373155003
 SIGMA_22 = 0.6551363775620335
+
+
+def worst_a0_error(ratios):
+    """Largest relative error of fit_prior's a0 over the ratios r = sigma/mu,
+    and the r where it lies. x0 = a0 - 1 is the root of g(x) = r^2 x, with
+    g(x) = Gamma(x + 1)^2 / Gamma(x + 1/2)^2 - x, found at 50 digits from the
+    fit's own x0; a0 itself is compared."""
+    worst = (0.0, 0.0)
+    with mpmath.workdps(50):
+        for r in ratios:
+            a0 = fit_prior(1.0, r).params.a
+            r2 = mpmath.mpf(r) ** 2
+
+            def shape_equation(x):
+                return (mpmath.gamma(x + 1) / mpmath.gamma(x + 0.5)) ** 2 - x - r2 * x
+
+            root = 1 + mpmath.findroot(shape_equation, mpmath.mpf(a0) - 1)
+            worst = max(worst, (float(abs(a0 - root) / root), r))
+    return worst
 
 
 def bisect_root(mu0, sigma0):
@@ -310,25 +330,28 @@ class TestAgainstIndependentOracles:
             assert abs(fit.params.a - root) <= 1e-12 * root, (mu, ratio, root, fit.params.a)
 
     def test_a0_matches_mpmath_root(self):
-        # x0 = a0 - 1 is the root of g(x) = r^2 x, with
-        # g(x) = Gamma(x + 1)^2 / Gamma(x + 1/2)^2 - x, here found at 50
-        # digits from the fit's own x0 over 401 log-spaced r in [1e-4, 1e6].
-        # a0 itself is compared: at r = 1e6, a0 - 1 = 3.2e-13 keeps only the
-        # digits that the rounding of a0 = 1 + x0 leaves. The worst error
-        # measured is 2.81e-13, at r = 0.168.
-        worst = 0.0
-        with mpmath.workdps(50):
-            for k in range(401):
-                r = 10.0 ** (-4.0 + k / 40.0)
-                a0 = fit_prior(1.0, r).params.a
-                r2 = mpmath.mpf(r) ** 2
-
-                def shape_equation(x):
-                    return (mpmath.gamma(x + 1) / mpmath.gamma(x + 0.5)) ** 2 - x - r2 * x
-
-                root = 1 + mpmath.findroot(shape_equation, mpmath.mpf(a0) - 1)
-                worst = max(worst, float(abs(a0 - root) / root))
+        # 401 log-spaced r in [1e-4, 1e6], and 1000 in [0.158, 0.2], where
+        # x0 = a0 - 1 nears 10 from below and _g's lgamma branch is least
+        # accurate. At r = 1e6, a0 - 1 = 3.2e-13 keeps only the digits that
+        # the rounding of a0 = 1 + x0 leaves. The worst error measured is
+        # 4.70e-13, at r = 0.1650; a 5000-point band reaches 4.96e-13 (-m long).
+        ratios = [10.0 ** (-4.0 + k / 40.0) for k in range(401)]
+        ratios += [0.158 * (0.2 / 0.158) ** (k / 999) for k in range(1000)]
+        worst, _ = worst_a0_error(ratios)
         assert worst < 5e-13, worst
+
+    @pytest.mark.long
+    def test_a0_matches_mpmath_root_on_default_grid(self):
+        # every distinct sigma/mu of the default 1000 x 1000 sweep, and a
+        # dense band where the error is largest
+        spec = GridSpec()
+        ratios = {sigma / mu for mu in spec.mu_values() for sigma in spec.sigma_values(mu)}
+        assert len(ratios) == 12819
+        band = [0.158 * (0.2 / 0.158) ** (k / 4999) for k in range(5000)]
+        for name, sample in (("default grid", sorted(ratios)), ("band", band)):
+            worst, at = worst_a0_error(sample)
+            print(f"a0 over the {name}: worst relative error {worst:.3g} at r = {at:.5g}")
+            assert worst < 5e-13, (name, worst, at)
 
     def test_round_trip_identity_grid(self):
         # 20 x 20 log grid over (a, b); the fit must recover the pair
