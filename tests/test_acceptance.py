@@ -7,7 +7,7 @@ The full-resolution 1000 x 1000 sweep is opt-in: pytest -m long.
 
 import math
 
-import mpmath as mp
+import mpmath
 import pytest
 
 from gammasd import (
@@ -28,8 +28,6 @@ from gammasd import (
 )
 from mp_oracle import sd_moments as mp_sd_moments
 from quadrature import integrate
-
-mp.mp.dps = 30
 
 CUTOFF_MU = (2e-3, 1e4)
 CUTOFF_RATIO = (3e-3, 50.0)
@@ -174,13 +172,14 @@ def test_criterion_5_normalisation_and_change_of_variables():
 
 
 def test_criterion_6_log_gamma_references():
-    references = {
-        1.0: 0.0,
-        1.5: -0.120782237635245,
-        2.0: 0.0,
-        10.0: 12.801827480081469,
-        100.5: float(mp.loggamma(100.5)),  # 361.435540467777622...
-    }
+    with mpmath.workdps(30):
+        references = {
+            1.0: 0.0,
+            1.5: -0.120782237635245,
+            2.0: 0.0,
+            10.0: 12.801827480081469,
+            100.5: float(mpmath.loggamma(100.5)),  # 361.435540467777622...
+        }
     ok = all(
         math.isclose(log_gamma(x), expected, rel_tol=1e-12, abs_tol=1e-12)
         for x, expected in references.items()

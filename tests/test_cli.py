@@ -1,14 +1,9 @@
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import gammasd
 from gammasd import GridSpec, elicitation, run_grid, summarize, validation, write_csv
 from gammasd import cli
 from gammasd.cli import run
@@ -375,20 +370,14 @@ class TestValidate:
             "cutoff_region_pass": str(summary.cutoff_region_pass).lower(),
         }
 
-    def test_memory_holds_rows_not_grid(self, tmp_path):
+    def test_memory_holds_rows_not_grid(self, tmp_path, fresh):
         # The serial sweep streams cells through the CSV writer and the
         # summary, so ten times the rows may cost a few rows' bytes more,
         # not ten times the grid's. Each reading comes from a fresh
         # interpreter that runs the same warm-up sweep first, so it does not
         # depend on what ran before it.
-        src = str(Path(gammasd.__file__).resolve().parents[1])
-
         def measure(*what):
-            proc = subprocess.run(
-                [sys.executable, "-c", MEMORY_PROBE, str(tmp_path / "cells.csv"), *what],
-                env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-                check=True, timeout=120)
-            return int(proc.stdout.split()[-1])
+            return int(fresh(MEMORY_PROBE, str(tmp_path / "cells.csv"), *what).split()[-1])
 
         row_bytes = measure("row")
         growth = measure("peak", "40") - measure("peak", "4")

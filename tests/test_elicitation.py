@@ -17,7 +17,7 @@ from gammasd import (
     sd_moments,
     upper_bound_a,
 )
-from gammasd import elicitation
+from gammasd import distributions, elicitation
 from mp_oracle import sd_moments as mp_sd_moments
 
 # Forward map of (a, b) = (2, 2)
@@ -239,52 +239,31 @@ class TestFitPrior:
         assert fit.converged
         assert fit.objective_at_min < 1e-24
 
-    def test_log_gamma_calls_follow_iterations(self, monkeypatch):
+    def test_log_gamma_calls_follow_iterations(self, count_calls):
         # Every gamma ratio goes through the kernel _g: the solve evaluates
         # it iterations + 1 times, and _sd_shape_factors once more at the
         # returned a0 for b0, the round trip and h0. Over sigma/mu in
         # [1e-4, 1.7e4] at most six evaluations are needed.
-        import gammasd.distributions
-
-        calls = 0
-        real = gammasd.distributions._g
-
-        def counting(x):
-            nonlocal calls
-            calls += 1
-            return real(x)
-
-        monkeypatch.setattr(elicitation, "_g", counting)
-        monkeypatch.setattr(gammasd.distributions, "_g", counting)
+        calls = count_calls((elicitation, "_g"), (distributions, "_g"))
         n = 200
         for i in range(n):
             ratio = 1e-4 * (1.7e4 / 1e-4) ** (i / (n - 1))
-            calls = 0
+            calls.clear()
             fit = fit_prior(1.0, ratio)
             assert fit.converged, ratio
-            assert calls == (fit.iterations + 1) + 1, ratio
+            assert len(calls) == (fit.iterations + 1) + 1, ratio
             assert fit.iterations + 1 <= 6, ratio
 
-    def test_every_call_solves(self, monkeypatch):
+    def test_every_call_solves(self, count_calls):
         # fit_prior keeps no memo: two identical calls cost twice the
         # kernel evaluations of one
-        import gammasd.distributions
-
-        calls = 0
-        real = gammasd.distributions._g
-
-        def counting(x):
-            nonlocal calls
-            calls += 1
-            return real(x)
-
-        monkeypatch.setattr(elicitation, "_g", counting)
-        monkeypatch.setattr(gammasd.distributions, "_g", counting)
+        calls = count_calls((elicitation, "_g"), (distributions, "_g"))
         fit_prior(1.0, 0.5)
-        one, calls = calls, 0
+        one = len(calls)
+        calls.clear()
         fit_prior(1.0, 0.5)
         fit_prior(1.0, 0.5)
-        assert one > 0 and calls == 2 * one
+        assert one > 0 and len(calls) == 2 * one
 
     def test_round_trip_is_sd_moments_of_params(self):
         # the scale step's round trip is sd_moments, bit for bit
@@ -343,15 +322,24 @@ class TestAgainstIndependentOracles:
     @pytest.mark.long
     def test_a0_matches_mpmath_root_on_default_grid(self):
         # every distinct sigma/mu of the default 1000 x 1000 sweep, and a
-        # dense band where the error is largest
+        # dense band where the error is largest; then sd_moments at each
+        # ratio's fitted (a0, b0) against the 40-digit oracle
         spec = GridSpec()
-        ratios = {sigma / mu for mu in spec.mu_values() for sigma in spec.sigma_values(mu)}
+        ratios = sorted({sigma / mu for mu in spec.mu_values() for sigma in spec.sigma_values(mu)})
         assert len(ratios) == 12819
         band = [0.158 * (0.2 / 0.158) ** (k / 4999) for k in range(5000)]
-        for name, sample in (("default grid", sorted(ratios)), ("band", band)):
+        for name, sample in (("default grid", ratios), ("band", band)):
             worst, at = worst_a0_error(sample)
             print(f"a0 over the {name}: worst relative error {worst:.3g} at r = {at:.5g}")
             assert worst < 5e-13, (name, worst, at)
+        worst = {"mu": (0.0, 0.0), "sigma": (0.0, 0.0)}
+        for r in ratios:
+            params = fit_prior(1.0, r).params
+            for field, got, want in zip(worst, sd_moments(params), mp_sd_moments(*params)):
+                worst[field] = max(worst[field], (abs(got - want) / want, r))
+        for field, (err, at) in worst.items():
+            print(f"sd_moments {field} over the default grid: worst relative error {err:.3g} at r = {at:.5g}")
+            assert err < 1e-12, (field, err, at)
 
     def test_round_trip_identity_grid(self):
         # 20 x 20 log grid over (a, b); the fit must recover the pair

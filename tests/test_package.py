@@ -1,9 +1,5 @@
-import os
 import pickle
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -30,8 +26,6 @@ from gammasd import (
     upper_bound_a,
 )
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
 
 def test_public_names():
     assert set(gammasd.__all__) == {
@@ -44,24 +38,18 @@ def test_public_names():
     assert len(gammasd.__all__) == len(set(gammasd.__all__))
 
 
-def fresh(code):
-    """stdout of `code` run in a new interpreter with only src/ added to the path."""
-    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
-                          capture_output=True, text=True, check=True).stdout.strip()
-
-
-def test_import_loads_no_process_pool():
+def test_import_loads_no_process_pool(fresh):
     # only a sweep with more than one worker needs concurrent.futures
     assert fresh("import gammasd, sys; print('concurrent.futures' in sys.modules)") == "False"
 
 
-def test_cli_import_loads_no_json():
+def test_cli_import_loads_no_json(fresh):
     # only --output json needs the json module
     assert fresh("import gammasd.cli, sys; print('json' in sys.modules)") == "False"
 
 
 @pytest.mark.parametrize("module", ["gammasd", "gammasd.cli"])
-def test_import_loads_no_dataclasses(module):
+def test_import_loads_no_dataclasses(fresh, module):
     # the records are named tuples; dataclasses would pull in inspect, ast and dis
     code = f"import {module}, sys; print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
     assert fresh(code) == "False False"
@@ -69,12 +57,12 @@ def test_import_loads_no_dataclasses(module):
 
 @pytest.mark.parametrize("module, absent", [("gammasd", {"gammasd.validation", "gammasd.optimize"}),
                                             ("gammasd.cli", {"gammasd.optimize"})])
-def test_import_loads_no_sweep_or_minimiser(module, absent):
+def test_import_loads_no_sweep_or_minimiser(fresh, module, absent):
     # `import gammasd` loads the transform; the sweep and the minimiser load on first use
     assert fresh(f"import {module}, sys; print(sorted(sys.modules.keys() & {absent!r}))") == "[]"
 
 
-def test_reading_all_loads_no_sweep_or_minimiser():
+def test_reading_all_loads_no_sweep_or_minimiser(fresh):
     # __all__ is built at import from the two transform modules and the lazy table
     code = ("import gammasd, sys; names = gammasd.__all__; "
             "loaded = sorted(sys.modules.keys() & {'gammasd.validation', 'gammasd.optimize'}); "
@@ -84,20 +72,20 @@ def test_reading_all_loads_no_sweep_or_minimiser():
     assert fresh(code) == "[] True"
 
 
-def test_star_import_and_dir_list_the_public_names():
+def test_star_import_and_dir_list_the_public_names(fresh):
     code = ("from gammasd import *; import gammasd; names = set(gammasd.__all__); "
             "print(len(names), names <= set(globals()), names <= set(dir(gammasd)))")
     assert fresh(code) == "23 True True"
 
 
-def test_lazy_names_resolve_without_a_prior_import():
+def test_lazy_names_resolve_without_a_prior_import(fresh):
     code = ("import gammasd, sys; "
             "print(gammasd.GridSpec is gammasd.validation.GridSpec, "
             "gammasd.optimize.minimize_bounded is sys.modules['gammasd.optimize'].minimize_bounded)")
     assert fresh(code) == "True True"
 
 
-def test_unknown_name_raises_attribute_error():
+def test_unknown_name_raises_attribute_error(fresh):
     with pytest.raises(AttributeError, match="^module 'gammasd' has no attribute 'nonexistent'$"):
         gammasd.nonexistent  # noqa: B018
     # hasattr swallows only AttributeError

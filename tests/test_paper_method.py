@@ -4,6 +4,7 @@ and the evaluation count that perfbench/layers.py derives from
 OptimResult.iterations."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,32 +21,24 @@ def test_minimiser_of_objective_is_fit_prior_shape(r):
     assert res.x_min == pytest.approx(fit_prior(1.0, r).params.a, rel=1e-9, abs=0.0)
 
 
-def _counted(f):
-    calls = []
-
-    def counted(x):
-        calls.append(x)
-        return f(x)
-
-    return counted, calls
-
-
 @pytest.mark.parametrize("f, lo, hi", [
     (lambda x: (x - 2.0) ** 2, 0.0, 5.0),
     (lambda x: abs(x - 1.3), 0.0, 2.0),
     (lambda x: math.cos(x) + 0.1 * x, 0.0, 7.0),
     (lambda x: x, 0.0, 1.0),
 ])
-def test_iterations_count_evaluations(f, lo, hi):
-    counted, calls = _counted(f)
-    res = minimize_bounded(counted, lo, hi)
+def test_iterations_count_evaluations(count_calls, f, lo, hi):
+    target = SimpleNamespace(f=f)
+    calls = count_calls((target, "f"))
+    res = minimize_bounded(target.f, lo, hi)
     assert res.converged
     assert res.iterations + 1 == len(calls)
 
 
-def test_iterations_count_evaluations_at_the_cap(monkeypatch):
+def test_iterations_count_evaluations_at_the_cap(monkeypatch, count_calls):
     monkeypatch.setattr(optimize, "_MAX_ITER", 2)
-    counted, calls = _counted(lambda x: (x - 2.0) ** 2)
-    res = minimize_bounded(counted, 0.0, 5.0)
+    target = SimpleNamespace(f=lambda x: (x - 2.0) ** 2)
+    calls = count_calls((target, "f"))
+    res = minimize_bounded(target.f, 0.0, 5.0)
     assert not res.converged
     assert res.iterations + 1 == len(calls) == 3

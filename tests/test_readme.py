@@ -11,9 +11,11 @@ prints, matched with the same ELLIPSIS rule.
 import contextlib
 import doctest
 import io
+import re
 import shlex
 from pathlib import Path
 
+import gammasd
 from gammasd.cli import run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -61,3 +63,10 @@ def test_cli_lines(tmp_path, monkeypatch):
         if want:
             assert checker.check_output(want, out.getvalue(), doctest.ELLIPSIS), (
                 line, out.getvalue())
+
+
+def test_public_names_listed():
+    # the bullet list after "The public names" names each of gammasd.__all__ once
+    listing = README.read_text(encoding="utf-8").split("The public names", 1)[1].split("\n\n")[1]
+    names = re.findall(r"^- `(\w+)", listing, re.MULTILINE)
+    assert len(names) == len(set(names)) and set(names) == set(gammasd.__all__)

@@ -1,7 +1,5 @@
-import concurrent.futures
 import math
 import random
-from concurrent.futures import Future
 
 import pytest
 
@@ -149,84 +147,32 @@ class TestRunGrid:
             (None, 8, 500, None),
         ],
     )
-    def test_worker_count_capped(self, monkeypatch, cpus, rows, workers, expected):
-        pools = []
-
-        class FakePool:
-            # maps serially in this process and records the requested size
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    def test_worker_count_capped(self, monkeypatch, inline_pool, cpus, rows, workers, expected):
         monkeypatch.setattr(validation.os, "cpu_count", lambda: cpus)
         spec = small_spec(n=rows, m=2)
         results = run_grid(spec, workers=workers)
-        assert pools == ([] if expected is None else [expected])
+        assert inline_pool.sizes == ([] if expected is None else [expected])
         assert len(results) == 2 * rows
 
     @pytest.mark.parametrize("workers", [0, -1])
-    def test_rejects_nonpositive_workers(self, monkeypatch, workers):
-        def no_pool(max_workers):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    def test_rejects_nonpositive_workers(self, inline_pool, workers):
         with pytest.raises(ValueError, match="workers"):
             run_grid(small_spec(n=2, m=2), workers=workers)
+        assert inline_pool.sizes == []  # no pool was started
 
-    def test_pool_keeps_two_rows_per_worker_in_flight(self, monkeypatch):
-        pools = []
-        in_flight = []  # rows submitted and not yet read
-        peaks = []  # len(in_flight) after each submit
-        rows = []  # the mu and sigma values sent with each row
-
-        class CountedFuture(Future):
-            def result(self, timeout=None):
-                in_flight.remove(self)
-                return super().result(timeout)
-
-        class FakePool:
-            # solves each row on submit; the row is in flight until read
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                rows.append(args[:2])
-                future = CountedFuture()
-                future.set_result(fn(*args))
-                in_flight.append(future)
-                peaks.append(len(in_flight))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    def test_pool_keeps_two_rows_per_worker_in_flight(self, monkeypatch, inline_pool):
         monkeypatch.setattr(validation.os, "cpu_count", lambda: 4)
         spec = small_spec(n=12, m=3)
         cells = []
         for row in validation._rows(spec, workers=2):
             # read one row at a time: the window must not grow meanwhile
-            assert len(in_flight) <= 2 * 2
+            assert len(inline_pool.in_flight) <= 2 * 2
             cells.extend(row)
-        assert pools == [2]
-        assert len(peaks) == 12 and max(peaks) <= 2 * 2
+        assert inline_pool.sizes == [2]
+        assert len(inline_pool.peaks) == 12 and max(inline_pool.peaks) <= 2 * 2
         assert cells == run_grid(spec, workers=1)
         # a row carries no GridSpec, whose unpickling would re-run its checks
-        assert rows == [(mu, spec.sigma_values(mu)) for mu in spec.mu_values()]
+        assert inline_pool.rows == [(mu, spec.sigma_values(mu)) for mu in spec.mu_values()]
 
 
 class TestSummarize:
@@ -436,68 +382,27 @@ def spread_targets(n=400, seed=20210117):
 
 
 class TestShapeReuse:
-    def test_one_shape_step_per_distinct_ratio(self, monkeypatch):
+    def test_one_shape_step_per_distinct_ratio(self, count_calls):
         spec = GridSpec(mu_points=48, sigma_points=48)
         ratios = {sigma / mu for mu in spec.mu_values() for sigma in spec.sigma_values(mu)}
-        calls = []
-        real = validation._solve_shape
-
-        def counting(r):
-            calls.append(r)
-            return real(r)
-
-        monkeypatch.setattr(validation, "_solve_shape", counting)
+        calls = count_calls((validation, "_solve_shape"))
         assert len(run_grid(spec)) == 48 * 48
         assert len(ratios) == 399
         assert len(calls) == 399 and set(calls) == ratios
 
-    def test_pool_worker_solves_each_ratio_once(self, monkeypatch):
+    def test_pool_worker_solves_each_ratio_once(self, monkeypatch, inline_pool, count_calls):
         # an in-process pool is one worker for every row: its rows share
         # one cache, which starts empty
-        class FakePool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        calls = []
-        real = validation._solve_shape
-
-        def counting(r):
-            calls.append(r)
-            return real(r)
-
-        validation._WORKER_SHAPES.clear()
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(validation.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(validation, "_solve_shape", counting)
+        calls = count_calls((validation, "_solve_shape"))
         spec = GridSpec(mu_points=48, sigma_points=48)
-        try:
-            pooled = run_grid(spec, workers=2)
-        finally:
-            validation._WORKER_SHAPES.clear()
+        pooled = run_grid(spec, workers=2)
         assert len(calls) == 399  # one per distinct ratio, as in a serial run
         assert pooled == run_grid(spec, workers=1)
 
-    def test_failing_ratio_solved_once(self, monkeypatch):
+    def test_failing_ratio_solved_once(self, count_calls):
         # sigma/mu = 1e9 raises in the shape step; the cache remembers it
-        calls = []
-        real = validation._solve_shape
-
-        def counting(r):
-            calls.append(r)
-            return real(r)
-
-        monkeypatch.setattr(validation, "_solve_shape", counting)
+        calls = count_calls((validation, "_solve_shape"))
         shapes = {}
         cells = [CellResult._make(cell) for mu in (1.0, 2.0, 4.0)
                  for cell in validation._row(mu, [1e9 * mu], shapes)]
