@@ -26,19 +26,19 @@ from .elicitation import fit_prior
 __all__ = ["run", "main"]
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on parse errors; the CLI contract
     # reserves 2 for non-convergence, so route errors through exit 1.
     def error(self, message: str):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _positive(text: str) -> float:
-    value = float(text)
+    # argparse would report a float() failure by this function's name
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text}")
     return value
@@ -69,11 +69,13 @@ def _build_parser() -> _Parser:
     fwd.add_argument("--a", type=_positive, required=True)
     fwd.add_argument("--b", type=_positive, required=True)
     fwd.add_argument("--output", choices=["plain", "json"], default="plain")
+    fwd.set_defaults(run=_cmd_forward)
 
     inv = sub.add_parser("inverse", help="SD summary (mu, sigma) -> Gamma (a0, b0)")
     inv.add_argument("--mu", type=_positive, required=True)
     inv.add_argument("--sigma", type=_positive, required=True)
     inv.add_argument("--output", choices=["plain", "json"], default="plain")
+    inv.set_defaults(run=_cmd_inverse)
 
     pdf = sub.add_parser("pdf", help="tabulate a density as CSV on stdout")
     pdf.add_argument("--dist", choices=["precision", "sd"], required=True)
@@ -82,6 +84,7 @@ def _build_parser() -> _Parser:
     pdf.add_argument("--from", dest="x0", type=float, required=True)
     pdf.add_argument("--to", dest="x1", type=float, required=True)
     pdf.add_argument("--points", type=int, required=True)
+    pdf.set_defaults(run=_cmd_pdf)
 
     val = sub.add_parser("validate", help="round-trip validation sweep")
     defaults = GridSpec._field_defaults
@@ -95,6 +98,7 @@ def _build_parser() -> _Parser:
                      default=defaults["sigma_ratio_hi"])
     val.add_argument("--workers", type=int, default=1)
     val.add_argument("--out", default=None, help="CSV destination file")
+    val.set_defaults(run=_cmd_validate)
 
     return parser
 
@@ -124,15 +128,15 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
 
 def _cmd_pdf(args: argparse.Namespace) -> int:
     if args.points < 2:
-        raise _UsageError("--points must be >= 2")
+        raise ValueError("--points must be >= 2")
     if not args.x0 < args.x1:
-        raise _UsageError("--from must be smaller than --to")
+        raise ValueError("--from must be smaller than --to")
     params = GammaParams(a=args.a, b=args.b)
     density = precision_pdf if args.dist == "precision" else sd_pdf
     step = (args.x1 - args.x0) / (args.points - 1)
     # every x lies between --from and --to, so only an inf bound or step spoils one
     if not math.isfinite(step):
-        raise _UsageError("--from, --to and the points between them must be finite")
+        raise ValueError("--from, --to and the points between them must be finite")
     print("x,density")
     for i in range(args.points):
         # the last x is --to itself, where --from + i * step may round off it
@@ -159,23 +163,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def run(argv: Sequence[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 1
-
-    handlers = {
-        "forward": _cmd_forward,
-        "inverse": _cmd_inverse,
-        "pdf": _cmd_pdf,
-        "validate": _cmd_validate,
-    }
-    try:
-        return handlers[args.subcommand](args)
-    except (_UsageError, ValueError, OSError) as exc:
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,6 +11,10 @@ from gammasd.validation import CSV_HEADER
 from mp_oracle import sd_moments as mp_sd_moments
 
 
+def assert_one_error_line(err, prefix="error: "):
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
 def parse_plain(text):
     out = {}
     for line in text.strip().splitlines():
@@ -87,7 +91,7 @@ class TestInverse:
     def test_ratio_too_small(self, mu, sigma, capsys):
         assert run(["inverse", "--mu", mu, "--sigma", sigma]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert_one_error_line(err)
         assert "too small" in err
 
     @pytest.mark.parametrize("scale", ["1e-300", "1e300"])
@@ -96,7 +100,7 @@ class TestInverse:
         # underflows to 0 or overflows to inf
         assert run(["inverse", "--mu", scale, "--sigma", scale]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: mu0 = ") and err.count("\n") == 1
+        assert_one_error_line(err, "error: mu0 = ")
         assert "rate b0 = mu0^2/S(a0)" in err and "outside the double range" in err
 
     def test_tiny_scale(self, capsys):
@@ -201,7 +205,7 @@ class TestPdf:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert_one_error_line(captured.err)
 
     def test_widest_finite_range_accepted(self, capsys):
         code = run(["pdf", "--dist", "sd", "--a", "2", "--b", "2", "--from", "0",
@@ -222,7 +226,7 @@ class TestPdf:
         code = run(["pdf", "--dist", "precision", "--a", a, "--b", b, *bounds])
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: x = ") and captured.err.count("\n") == 1
+        assert_one_error_line(captured.err, "error: x = ")
         assert "outside the double range" in captured.err
         # the rows before the failing point stay on stdout
         lines = captured.out.splitlines()
@@ -286,7 +290,7 @@ class TestValidate:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert_one_error_line(captured.err)
         assert "mu_points" in captured.err
 
     @pytest.mark.parametrize("bounds", [
@@ -303,7 +307,7 @@ class TestValidate:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert_one_error_line(captured.err)
         assert "sigma_ratio_lo * mu_lo" in captured.err
         assert out_file.read_bytes() == b"kept\n"
 
@@ -315,7 +319,7 @@ class TestValidate:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert_one_error_line(captured.err)
         assert "workers" in captured.err
         assert out_file.read_bytes() == b"kept\n"
 
@@ -328,7 +332,7 @@ class TestValidate:
                     "--out", str(tmp_path / "missing" / "cells.csv")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert_one_error_line(err)
 
     def test_streams_rows_without_cell_records(self, tmp_path, monkeypatch, capsys):
         # validate folds the row step's tuples straight into the CSV and the
@@ -468,4 +472,10 @@ class TestUsageErrors:
     )
     def test_exit_code_one(self, argv, capsys):
         assert run(argv) == 1
-        assert capsys.readouterr().err != ""
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_unparsable_number(self, capsys):
+        # argparse names the type function in its own message for a ValueError
+        assert run(["forward", "--a", "x", "--b", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: argument --a: expected a finite positive number, got x\n")

@@ -16,7 +16,12 @@ from gammasd import (
     sd_pdf,
 )
 from gammasd.distributions import _g
-from mp_oracle import sd_moments as mp_sd_moments
+from mp_oracle import (
+    g as mp_g,
+    log_precision_pdf as mp_log_precision_pdf,
+    sd_moments as mp_sd_moments,
+    sd_pdf as mp_sd_pdf,
+)
 from quadrature import integrate
 from records import PATHS, build
 
@@ -76,14 +81,6 @@ class TestPrecisionPdf:
         assert math.isfinite(value) and value > 0.0
 
 
-def mp_log_precision_pdf(p, a, b):
-    """log of the Gamma(a, b) density at p in mpmath. At shapes beyond
-    log-gamma's double range its terms reach about 2e310 and cancel to a
-    few hundred at the peak, so 40 digits keep nothing; 400 keep about 85."""
-    p, a, b = mpmath.mpf(p), mpmath.mpf(a), mpmath.mpf(b)
-    return a * mpmath.log(b) - mpmath.loggamma(a) + (a - 1) * mpmath.log(p) - p * b
-
-
 class TestBeyondLogGammaRange:
     # log_gamma(a) is +inf above about 2.56e305; the densities must not be nan
     FITTED = GammaParams(2.5e307, 2.5e307)  # fit_prior(1, 1e-154)
@@ -98,10 +95,9 @@ class TestBeyondLogGammaRange:
     @pytest.mark.parametrize("s, params", [(1.0, FITTED), (0.5, FITTED), (1.5, FITTED),
                                            (1.0, GammaParams(1e308, 1e308))])
     def test_sd_pdf_against_mpmath(self, s, params):
-        # f_s(s) = 2 s^-3 f_p(1/s^2); at 1e308, log(b/s^2) is past sd_pdf's underflow cut
+        # at 1e308, log(b/s^2) is past sd_pdf's underflow cut
         with mpmath.workdps(400):
-            s_ = mpmath.mpf(s)
-            expected = float(2 / s_**3 * mpmath.exp(mp_log_precision_pdf(1 / s_**2, *params)))
+            expected = float(mp_sd_pdf(s, *params))
         assert sd_pdf(s, params) == pytest.approx(expected, rel=1e-14)
 
     def test_tiny_sd_at_the_peak(self):
@@ -155,8 +151,7 @@ class TestAtForwardSpread:
             params = GammaParams(a, b)
             with mpmath.workdps(40):
                 want_p = mpmath.exp(mp_log_precision_pdf(p, a, b))
-                s_ = mpmath.mpf(s)
-                want_s = 2 / s_**3 * mpmath.exp(mp_log_precision_pdf(1 / s_**2, a, b))
+                want_s = mp_sd_pdf(s, a, b)
                 worst_p = max(worst_p, float(abs(precision_pdf(p, params) / want_p - 1)))
                 worst_s = max(worst_s, float(abs(sd_pdf(s, params) / want_s - 1)))
         assert worst_p < 1e-10 and worst_s < 1e-10
@@ -171,8 +166,7 @@ class TestKernelG:
         with mpmath.workdps(50):
             for _ in range(2000):
                 x = rng.uniform(1e-9, 10.0)
-                x_ = mpmath.mpf(x)
-                want = (mpmath.gamma(x_ + 1) / mpmath.gamma(x_ + 0.5)) ** 2 - x_
+                want = mp_g(x)
                 worst = max(worst, float(abs(_g(x) - want) / want))
         assert worst < 1e-12, worst
 

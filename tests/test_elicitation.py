@@ -18,7 +18,7 @@ from gammasd import (
     upper_bound_a,
 )
 from gammasd import distributions, elicitation
-from mp_oracle import sd_moments as mp_sd_moments
+from mp_oracle import a0_root as mp_a0_root, sd_moments as mp_sd_moments
 
 # Forward map of (a, b) = (2, 2)
 MU_22 = 1.2533141373155003
@@ -34,12 +34,7 @@ def worst_a0_error(ratios):
     with mpmath.workdps(50):
         for r in ratios:
             a0 = fit_prior(1.0, r).params.a
-            r2 = mpmath.mpf(r) ** 2
-
-            def shape_equation(x):
-                return (mpmath.gamma(x + 1) / mpmath.gamma(x + 0.5)) ** 2 - x - r2 * x
-
-            root = 1 + mpmath.findroot(shape_equation, mpmath.mpf(a0) - 1)
+            root = mp_a0_root(r, a0)
             worst = max(worst, (float(abs(a0 - root) / root), r))
     return worst
 
