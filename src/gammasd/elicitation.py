@@ -13,9 +13,11 @@ exactly one fixed point for every r > 0. Steffensen's method (Aitken
 extrapolation of each pair of plain steps; Steffensen 1933) finds it from
 x = 1/(4 r^2). At a0 = 1 + x0 the rate solves the forward mean mu^2 = b S(a):
 b0 = mu0^2 (x + g(x)) at x = a0 - 1, which is mu0^2 / S(a0), and h0 is the
-residual of that a0. fit_prior is a shape step on r alone (_solve_shape) and
-a scale step from mu0, sigma0 and that shape to b0 and the round trip
-(_scale); a validation sweep solves each distinct r once.
+residual of that a0. fit_prior does it in one frame: the targets' checks,
+the loop with the kernel inline, one more kernel evaluation at a0, the
+scale step to b0 and the round trip, and the records. A validation sweep
+takes each distinct r's shape from fit_prior(1, r), where b0 is x + g(x)
+itself, and scales it to each of its cells.
 """
 
 # no postponed annotations: each named-tuple field's would compile to a ForwardRef
@@ -124,11 +126,32 @@ def upper_bound_a(mu0: float, sigma0: float) -> float:
     return 0.125 * (1.0 + math.sqrt(49.0 + r * r + 50.0 * r) + r)
 
 
-def _solve_shape(r: float) -> tuple[float, float, float, float, int, bool]:
-    """Shape step, on r = sigma0/mu0 alone: a0 = 1 + x0, the factors
-    _sd_shape_factors(a0) of b0, the round trip and h0, the kernel
-    evaluations of the solve and whether it converged."""
+def fit_prior(mu0: float, sigma0: float) -> FitResult:
+    """Recover (a0, b0) for a target SD summary (mu0, sigma0).
+
+    x0 = a0 - 1 is the fixed point of x = g(x) / r^2, r = sigma0/mu0,
+    found by Steffensen's method from Watson's end x = 1/(4 r^2). It stops
+    when a plain step moves x by at most 1e-12 relative, so a0 depends only
+    on sigma0/mu0. At x = a0 - 1, b0 = mu0^2 (x + g(x)) = mu0^2 / S(a0), the
+    SD moments recomputed as a round-trip check and h0 (the residual of a0)
+    share one kernel evaluation. Non-convergence within the iteration cap,
+    or a round trip off by 1 % or more (from sigma0/mu0 of about 1e7, as
+    a0 - 1 nears the rounding of a0), gives converged=False, not an error.
+    ValueError is raised for sigma0/mu0 below about 4.2e-155 (the bound
+    1/(pi r^2) on x0 overflows) or above about 5.35e7 (a0 rounds to 1), and
+    for a b0 outside the double range. One frame does it all: the loop
+    evaluates the kernel _g inline, and the records are built without
+    re-running their field checks, which are guarded where they can fail.
+    """
+    if not (math.isfinite(mu0) and mu0 > 0.0):
+        raise ValueError(f"mu0 must be finite and > 0, got {mu0}")
+    if not (math.isfinite(sigma0) and sigma0 > 0.0):
+        raise ValueError(f"sigma0 must be finite and > 0, got {sigma0}")
+    r = sigma0 / mu0
     r2 = r * r
+    # left to right, not against math.pi * sys.float_info.max folded into one
+    # constant: that product is inf, an r2 that underflows to 0 would give
+    # nan and pass, and 0.25 / r2 would then divide by zero
     if r2 * math.pi * sys.float_info.max <= 1.0:
         raise ValueError(
             f"infeasible target: 1/(pi r^2) overflows "
@@ -137,7 +160,15 @@ def _solve_shape(r: float) -> tuple[float, float, float, float, int, bool]:
 
     x, anchor, solved = 0.25 / r2, None, False
     for evals in range(1, _MAX_ITER + 2):
-        x1 = _g(x) / r2
+        # x1 = _g(x) / r2, with _g's two branches in its own order
+        if x < 10.0:
+            x1 = (math.exp(2.0 * (math.lgamma(x + 1.0) - math.lgamma(x + 0.5))) - x) / r2
+        else:
+            y = 1.0 / x
+            z = y * y
+            x1 = x * math.expm1(2.0 * (y * (1 / 8 + z * (-1 / 192 + z * (1 / 640 + z * (
+                -17 / 14336 + z * (31 / 18432 + z * (-691 / 180224 + z * (
+                    5461 / 425984 + z * (-929569 / 15728640)))))))))) / r2
         if abs(x1 - x) <= _STEP_TOL * x1:
             x, solved = x1, True
             break
@@ -154,13 +185,10 @@ def _solve_shape(r: float) -> tuple[float, float, float, float, int, bool]:
             f"(sigma0/mu0 = {r:g} is too large)"
         )
     a0 = 1.0 + x
-    return (a0, *_sd_shape_factors(a0), evals, solved)
+    x = a0 - 1.0
+    g = _g(x)
+    c, root_c, cv = x + g, math.sqrt(x + g), math.sqrt(g / x)
 
-
-def _scale(mu0: float, sigma0: float, shape: tuple) -> tuple:
-    """Scale step, from the targets and _solve_shape(sigma0/mu0): a0, b0, the
-    round trip, its two relative errors and converged, as CellResult orders them."""
-    a0, c, root_c, cv, _, solved = shape
     b0 = c * mu0 * mu0
     if not (math.isfinite(b0) and b0 > 0.0):
         raise ValueError(
@@ -172,29 +200,14 @@ def _scale(mu0: float, sigma0: float, shape: tuple) -> tuple:
     rel_mu = abs(mu_rt - mu0) / mu0
     rel_sigma = abs(sigma_rt - sigma0) / sigma0
     converged = solved and rel_mu < ROUND_TRIP_TOL and rel_sigma < ROUND_TRIP_TOL
-    return a0, b0, mu_rt, sigma_rt, rel_mu, rel_sigma, converged
-
-
-def fit_prior(mu0: float, sigma0: float) -> FitResult:
-    """Recover (a0, b0) for a target SD summary (mu0, sigma0).
-
-    x0 = a0 - 1 is the fixed point of x = g(x) / r^2, r = sigma0/mu0,
-    found by Steffensen's method from Watson's end x = 1/(4 r^2). It stops
-    when a plain step moves x by at most 1e-12 relative, so a0 depends only
-    on sigma0/mu0. At x = a0 - 1, b0 = mu0^2 (x + g(x)) = mu0^2 / S(a0), the
-    SD moments recomputed as a round-trip check and h0 (the residual of a0)
-    share one kernel evaluation. Non-convergence within the iteration cap,
-    or a round trip off by 1 % or more (from sigma0/mu0 of about 1e7, as
-    a0 - 1 nears the rounding of a0), gives converged=False, not an error.
-    ValueError is raised for sigma0/mu0 below about 4.2e-155 (the bound
-    1/(pi r^2) on x0 overflows) or above about 5.35e7 (a0 rounds to 1), and
-    for a b0 outside the double range.
-    """
-    _validate_targets(mu0, sigma0)
-    r = sigma0 / mu0
-    _, _, _, cv, evals, _ = shape = _solve_shape(r)
-    a0, b0, mu_rt, sigma_rt, rel_mu, rel_sigma, converged = _scale(mu0, sigma0, shape)
     h0 = 2.0 * math.log(cv / r)
-    # positional: keywords to these three named tuples cost about 0.8 us a fit
-    return FitResult(GammaParams(a0, b0), math.log1p(h0 * h0), SdSummary(mu_rt, sigma_rt),
-                     (rel_mu, rel_sigma), converged, evals - 1)
+    # Here x = a0 - 1 is finite (b0 is) and > 0 (sqrt(g / x) raises below
+    # 0), so a0 and b0 pass GammaParams' checks, and mu_rt = sqrt(b0) /
+    # sqrt(x + g) lies in [1.6e-316, 2.7e154]; of SdSummary's checks only
+    # sigma_rt > 0 can fail, where mu_rt * cv underflows.
+    if not sigma_rt > 0.0:
+        SdSummary(mu_rt, sigma_rt)
+    new = tuple.__new__
+    return new(FitResult, (new(GammaParams, (a0, b0)), math.log1p(h0 * h0),
+                           new(SdSummary, (mu_rt, sigma_rt)), (rel_mu, rel_sigma),
+                           converged, evals - 1))

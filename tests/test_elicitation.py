@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import mpmath
 import pytest
@@ -11,14 +12,16 @@ from gammasd import (
     GammaParams,
     GridSpec,
     S,
+    SdSummary,
     fit_prior,
     objective,
     residual_D,
     sd_moments,
     upper_bound_a,
 )
-from gammasd import distributions, elicitation
+from gammasd import elicitation
 from mp_oracle import a0_root as mp_a0_root, sd_moments as mp_sd_moments
+import reference_fit
 
 # Forward map of (a, b) = (2, 2)
 MU_22 = 1.2533141373155003
@@ -37,6 +40,22 @@ def worst_a0_error(ratios):
             root = mp_a0_root(r, a0)
             worst = max(worst, (float(abs(a0 - root) / root), r))
     return worst
+
+
+def kernel_evaluations(count_calls):
+    """Count the kernel's math.lgamma and math.expm1 calls; the function
+    returned gives the evaluations since its last call and resets them."""
+    lgamma_calls = count_calls((math, "lgamma"))
+    expm1_calls = count_calls((math, "expm1"))
+
+    def take():
+        assert len(lgamma_calls) % 2 == 0, lgamma_calls
+        n = len(lgamma_calls) // 2 + len(expm1_calls)
+        lgamma_calls.clear()
+        expm1_calls.clear()
+        return n
+
+    return take
 
 
 def bisect_root(mu0, sigma0):
@@ -235,30 +254,68 @@ class TestFitPrior:
         assert fit.objective_at_min < 1e-24
 
     def test_log_gamma_calls_follow_iterations(self, count_calls):
-        # Every gamma ratio goes through the kernel _g: the solve evaluates
-        # it iterations + 1 times, and _sd_shape_factors once more at the
+        # Every gamma ratio is one evaluation of the kernel g: two
+        # math.lgamma calls below x = 10, one math.expm1 call above. The
+        # solve evaluates it iterations + 1 times, and once more at the
         # returned a0 for b0, the round trip and h0. Over sigma/mu in
         # [1e-4, 1.7e4] at most six evaluations are needed.
-        calls = count_calls((elicitation, "_g"), (distributions, "_g"))
+        evals = kernel_evaluations(count_calls)
         n = 200
         for i in range(n):
             ratio = 1e-4 * (1.7e4 / 1e-4) ** (i / (n - 1))
-            calls.clear()
             fit = fit_prior(1.0, ratio)
             assert fit.converged, ratio
-            assert len(calls) == (fit.iterations + 1) + 1, ratio
+            assert evals() == (fit.iterations + 1) + 1, ratio
             assert fit.iterations + 1 <= 6, ratio
 
     def test_every_call_solves(self, count_calls):
         # fit_prior keeps no memo: two identical calls cost twice the
         # kernel evaluations of one
-        calls = count_calls((elicitation, "_g"), (distributions, "_g"))
+        evals = kernel_evaluations(count_calls)
         fit_prior(1.0, 0.5)
-        one = len(calls)
-        calls.clear()
+        one = evals()
         fit_prior(1.0, 0.5)
         fit_prior(1.0, 0.5)
-        assert one > 0 and len(calls) == 2 * one
+        assert one > 0 and evals() == 2 * one
+
+    def test_equals_two_step_reference(self):
+        # fit_prior in one frame against the shape step, scale step and
+        # checking constructors it fuses (tests/reference_fit.py), over
+        # seeded targets and the edges where a check raises: the same
+        # fields bit for bit, or the same exception and message
+        rng = random.Random(20210118)
+        targets = [(mu, sigma) for mu in (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf,
+                                          5e-324, 1.0)
+                   for sigma in (0.0, -1.0, math.nan, math.inf, 5e-324, 1e-310, 1.0)]
+        targets += [(mu, mu * r * (1.0 + k * 1e-3)) for mu in (1e-100, 1.0, 1e100)
+                    for r in (4.2e-155, 5.35e7) for k in range(-20, 21)]
+        for _ in range(20000):
+            mu = 10.0 ** rng.uniform(-300.0, 300.0)
+            targets.append((mu, mu * 10.0 ** rng.uniform(-160.0, 9.0)))
+
+        def outcome(fit, mu, sigma):
+            try:
+                fit = fit(mu, sigma)
+            except Exception as e:  # any type: the reference's is compared
+                return type(e), str(e)
+            reals = (*fit.params, fit.objective_at_min, *fit.round_trip, *fit.round_trip_rel_err)
+            return (type(fit), type(fit.params), type(fit.round_trip),
+                    type(fit.round_trip_rel_err), [(type(v), struct.pack("<d", v)) for v in reals],
+                    type(fit.converged), fit.converged, type(fit.iterations), fit.iterations)
+
+        messages, converged = [], set()
+        for mu, sigma in targets:
+            want = outcome(reference_fit.fit_prior, mu, sigma)
+            assert outcome(fit_prior, mu, sigma) == want, (mu, sigma)
+            if len(want) == 2:
+                messages.append(want[1])
+            else:
+                assert want[:4] == (elicitation.FitResult, GammaParams, SdSummary, tuple)
+                converged.add(want[6])
+        for start in ("mu0 must", "sigma0 must", "infeasible target: 1/(pi r^2)",
+                      "infeasible target: a0 - 1", "mu0 = "):
+            assert any(m.startswith(start) for m in messages), start
+        assert converged == {True, False}
 
     def test_round_trip_is_sd_moments_of_params(self):
         # the scale step's round trip is sd_moments, bit for bit
