@@ -13,11 +13,11 @@ exactly one fixed point for every r > 0. Steffensen's method (Aitken
 extrapolation of each pair of plain steps; Steffensen 1933) finds it from
 x = 1/(4 r^2). At a0 = 1 + x0 the rate solves the forward mean mu^2 = b S(a):
 b0 = mu0^2 (x + g(x)) at x = a0 - 1, which is mu0^2 / S(a0), and h0 is the
-residual of that a0. fit_prior does it in one frame: the targets' checks,
-the loop with the kernel inline, one more kernel evaluation at a0, the
-scale step to b0 and the round trip, and the records. A validation sweep
-takes each distinct r's shape from fit_prior(1, r), where b0 is x + g(x)
-itself, and scales it to each of its cells.
+residual of that a0. fit_prior is two private steps: _shape(r) runs the
+loop with the kernel inline and evaluates the kernel once more at a0, and
+_scale takes that shape to b0, the round trip and the 1 % verdict. A
+validation sweep calls the same two steps, solving the shape once per
+distinct r, so each of its cells is fit_prior(mu, sigma).
 """
 
 # no postponed annotations: each named-tuple field's would compile to a ForwardRef
@@ -126,28 +126,11 @@ def upper_bound_a(mu0: float, sigma0: float) -> float:
     return 0.125 * (1.0 + math.sqrt(49.0 + r * r + 50.0 * r) + r)
 
 
-def fit_prior(mu0: float, sigma0: float) -> FitResult:
-    """Recover (a0, b0) for a target SD summary (mu0, sigma0).
-
-    x0 = a0 - 1 is the fixed point of x = g(x) / r^2, r = sigma0/mu0,
-    found by Steffensen's method from Watson's end x = 1/(4 r^2). It stops
-    when a plain step moves x by at most 1e-12 relative, so a0 depends only
-    on sigma0/mu0. At x = a0 - 1, b0 = mu0^2 (x + g(x)) = mu0^2 / S(a0), the
-    SD moments recomputed as a round-trip check and h0 (the residual of a0)
-    share one kernel evaluation. Non-convergence within the iteration cap,
-    or a round trip off by 1 % or more (from sigma0/mu0 of about 1e7, as
-    a0 - 1 nears the rounding of a0), gives converged=False, not an error.
-    ValueError is raised for sigma0/mu0 below about 4.2e-155 (the bound
-    1/(pi r^2) on x0 overflows) or above about 5.35e7 (a0 rounds to 1), and
-    for a b0 outside the double range. One frame does it all: the loop
-    evaluates the kernel _g inline, and the records are built without
-    re-running their field checks, which are guarded where they can fail.
-    """
-    if not (math.isfinite(mu0) and mu0 > 0.0):
-        raise ValueError(f"mu0 must be finite and > 0, got {mu0}")
-    if not (math.isfinite(sigma0) and sigma0 > 0.0):
-        raise ValueError(f"sigma0 must be finite and > 0, got {sigma0}")
-    r = sigma0 / mu0
+def _shape(r: float) -> tuple[float, float, float, float, int, bool]:
+    """Shape step of a ratio r = sigma0/mu0, fit_prior's solve: a0, c = x +
+    g(x) at x = a0 - 1 (1/S(a0)), sqrt(c), cv = sqrt(g / x), the kernel
+    evaluations and whether the loop converged. ValueError where 1/(pi r^2)
+    overflows or a0 rounds to 1."""
     r2 = r * r
     # left to right, not against math.pi * sys.float_info.max folded into one
     # constant: that product is inf, an r2 that underflows to 0 would give
@@ -187,8 +170,15 @@ def fit_prior(mu0: float, sigma0: float) -> FitResult:
     a0 = 1.0 + x
     x = a0 - 1.0
     g = _g(x)
-    c, root_c, cv = x + g, math.sqrt(x + g), math.sqrt(g / x)
+    c = x + g
+    return a0, c, math.sqrt(c), math.sqrt(g / x), evals, solved
 
+
+def _scale(mu0: float, sigma0: float, shape: tuple) -> tuple:
+    """Scale step, from the targets and _shape(sigma0/mu0): a0, b0, the
+    round trip, its two relative errors and converged, as CellResult orders
+    them. ValueError for a b0 outside the double range."""
+    a0, c, root_c, cv, _, solved = shape
     b0 = c * mu0 * mu0
     if not (math.isfinite(b0) and b0 > 0.0):
         raise ValueError(
@@ -200,6 +190,34 @@ def fit_prior(mu0: float, sigma0: float) -> FitResult:
     rel_mu = abs(mu_rt - mu0) / mu0
     rel_sigma = abs(sigma_rt - sigma0) / sigma0
     converged = solved and rel_mu < ROUND_TRIP_TOL and rel_sigma < ROUND_TRIP_TOL
+    return a0, b0, mu_rt, sigma_rt, rel_mu, rel_sigma, converged
+
+
+def fit_prior(mu0: float, sigma0: float) -> FitResult:
+    """Recover (a0, b0) for a target SD summary (mu0, sigma0).
+
+    x0 = a0 - 1 is the fixed point of x = g(x) / r^2, r = sigma0/mu0,
+    found by Steffensen's method from Watson's end x = 1/(4 r^2). It stops
+    when a plain step moves x by at most 1e-12 relative, so a0 depends only
+    on sigma0/mu0. At x = a0 - 1, b0 = mu0^2 (x + g(x)) = mu0^2 / S(a0), the
+    SD moments recomputed as a round-trip check and h0 (the residual of a0)
+    share one kernel evaluation. Non-convergence within the iteration cap,
+    or a round trip off by 1 % or more (from sigma0/mu0 of about 1e7, as
+    a0 - 1 nears the rounding of a0), gives converged=False, not an error.
+    ValueError is raised for sigma0/mu0 below about 4.2e-155 (the bound
+    1/(pi r^2) on x0 overflows) or above about 5.35e7 (a0 rounds to 1), and
+    for a b0 outside the double range. It is the shape step _shape(r) and
+    the scale step _scale, which a validation sweep also calls; the records
+    are built without re-running their field checks, which are guarded
+    where they can fail.
+    """
+    if not (math.isfinite(mu0) and mu0 > 0.0):
+        raise ValueError(f"mu0 must be finite and > 0, got {mu0}")
+    if not (math.isfinite(sigma0) and sigma0 > 0.0):
+        raise ValueError(f"sigma0 must be finite and > 0, got {sigma0}")
+    r = sigma0 / mu0
+    _, _, _, cv, evals, _ = shape = _shape(r)
+    a0, b0, mu_rt, sigma_rt, rel_mu, rel_sigma, converged = _scale(mu0, sigma0, shape)
     h0 = 2.0 * math.log(cv / r)
     # Here x = a0 - 1 is finite (b0 is) and > 0 (sqrt(g / x) raises below
     # 0), so a0 and b0 pass GammaParams' checks, and mu_rt = sqrt(b0) /

@@ -1,22 +1,20 @@
 """Round-trip validation sweep over a log-spaced (mu, sigma) grid.
 
-Each cell maps (mu, sigma) to prior parameters, maps back through the
-closed-form SD moments, and passes when its shape step, fit_prior(1,
-sigma/mu), converged and its scale step to the cell's (mu, sigma) has
-both round-trip relative errors below 1 %. At mu = 1 the mean
-round-trips exactly, so this differs from fit_prior(mu, sigma).converged
-only where the sigma error lies within a few ulps of 1 %. Per-cell
-numerical failures are recorded as failed cells; the sweep itself never
-aborts. The row of one mu is the unit of work: a row step solves it into
-plain tuples in CellResult's field order, and one fold over the rows, in
+Each cell is fit_prior(mu, sigma), field for field: it maps (mu, sigma)
+to prior parameters, maps back through the closed-form SD moments, and
+passes when that fit converged. A sweep runs fit_prior's two steps
+itself: elicitation._shape once per distinct sigma/mu in each sweep
+process, and elicitation._scale once per cell. Per-cell numerical
+failures are recorded as failed cells; the sweep itself never aborts.
+The row of one mu is the unit of work: a row step solves it into plain
+tuples in CellResult's field order, and one fold over the rows, in
 row-major order, folds their pass bits into the GridSummary. _sweep is
 validate's one entry: it checks the workers, opens the CSV and writes
 its header, then streams rows into that fold, writing each row's CSV
 text on the way in and holding one row at a time (two per worker with a
 pool), so the output is identical whatever the degree of concurrency.
-Each sweep process solves each distinct sigma/mu once per run. run_grid
-builds CellResults from the rows; write_csv writes them cell by cell,
-and only summarize groups them back into rows.
+run_grid builds CellResults from the rows; write_csv writes them cell
+by cell, and only summarize groups them back into rows.
 """
 
 # no postponed annotations: each named-tuple field's would compile to a ForwardRef
@@ -29,7 +27,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .elicitation import ROUND_TRIP_TOL, fit_prior
+from .elicitation import _scale, _shape
 
 __all__ = [
     "GridSpec",
@@ -44,7 +42,7 @@ CSV_HEADER = "mu,sigma,a0,b0,mu_rt,sigma_rt,rel_err_mu,rel_err_sigma,converged,p
 # one CSV line: mu's text, formatted once per row, then the cell's reals and verdict
 _CSV_LINE = "%s" + ",%.17g" * 7 + ",%s\n"
 
-# _solve_shape's tuple as a sweep keeps it: 74 B packed, 210 B as a tuple.
+# elicitation._shape's tuple as a sweep keeps it: 74 B packed, 210 B as a tuple.
 _PACKED_SHAPE = struct.Struct("4dq?")
 
 # A pool worker's shape cache, for every row it solves. Workers live for one
@@ -115,9 +113,8 @@ class GridSpec(_GridSpec):
 
 class CellResult(NamedTuple):
     """Outcome of the round trip at one (mu, sigma) grid point: fit_prior's
-    fields, as a tuple. passed is the cell's converged flag (see the module
-    docstring); the CSV writes it to both the converged and the passed
-    column."""
+    fields, as a tuple. passed is fit_prior's converged flag; the CSV writes
+    it to both the converged and the passed column."""
 
     mu: float
     sigma: float
@@ -154,49 +151,20 @@ def _log_spaced(lo: float, hi: float, n: int) -> list[float]:
     return values
 
 
-def _solve_shape(r: float) -> tuple[float, float, float, float, int, bool]:
-    """The shape step of a ratio r = sigma/mu, from fit_prior(1, r): a0, c =
-    x + g(x) at x = a0 - 1 (which is b0 at mu = 1), sqrt(c), cv = sqrt(g / x)
-    (sigma_rt at mu = 1), the kernel evaluations and the unit fit's converged."""
-    fit = fit_prior(1.0, r)
-    c = fit.params.b
-    return fit.params.a, c, math.sqrt(c), fit.round_trip.sigma, fit.iterations + 1, fit.converged
-
-
-def _scale(mu0: float, sigma0: float, shape: tuple) -> tuple:
-    """Scale step, from the targets and _solve_shape(sigma0/mu0): a0, b0, the
-    round trip, its two relative errors and converged, as CellResult orders them;
-    fit_prior(mu0, sigma0) does the same arithmetic in the same order."""
-    a0, c, root_c, cv, _, solved = shape
-    b0 = c * mu0 * mu0
-    if not (math.isfinite(b0) and b0 > 0.0):
-        raise ValueError(
-            f"mu0 = {mu0:g} gives a rate b0 = mu0^2/S(a0) = {b0:g}, "
-            "outside the double range"
-        )
-    mu_rt = math.sqrt(b0) / root_c  # as in sd_moments
-    sigma_rt = mu_rt * cv
-    rel_mu = abs(mu_rt - mu0) / mu0
-    rel_sigma = abs(sigma_rt - sigma0) / sigma0
-    converged = solved and rel_mu < ROUND_TRIP_TOL and rel_sigma < ROUND_TRIP_TOL
-    return a0, b0, mu_rt, sigma_rt, rel_mu, rel_sigma, converged
-
-
 def _row(mu: float, sigmas: list[float], shapes: dict = _WORKER_SHAPES) -> list[tuple]:
-    """Each sigma of a row fitted, as tuples in CellResult's field order: _scale
-    of the cell on the shape step _solve_shape(sigma/mu). That is
-    fit_prior(mu, sigma) except for converged, which is the unit fit's and the
-    cell's own 1 % round trip (see the module docstring). GridSpec keeps mu
-    and sigma positive and finite. shapes maps each sigma/mu solved so far to
-    its packed shape step, or to None where that step raised; a pool worker's
-    rows share _WORKER_SHAPES."""
+    """Each sigma of a row fitted, as tuples in CellResult's field order: the
+    scale step _scale of the cell on the shape step _shape(sigma/mu), which is
+    fit_prior(mu, sigma) field for field. GridSpec keeps mu and sigma positive
+    and finite. shapes maps each sigma/mu solved so far to its packed shape
+    step, or to None where that step raised; a pool worker's rows share
+    _WORKER_SHAPES."""
     cells = []
     for sigma in sigmas:
         r = sigma / mu
         try:
             if r not in shapes:
                 shapes[r] = None
-                shapes[r] = _PACKED_SHAPE.pack(*_solve_shape(r))
+                shapes[r] = _PACKED_SHAPE.pack(*_shape(r))
             if shapes[r] is not None:
                 cells.append((mu, sigma, *_scale(mu, sigma, _PACKED_SHAPE.unpack(shapes[r]))))
                 continue

@@ -279,10 +279,11 @@ class TestFitPrior:
         assert one > 0 and evals() == 2 * one
 
     def test_equals_two_step_reference(self):
-        # fit_prior in one frame against the shape step, scale step and
-        # checking constructors it fuses (tests/reference_fit.py), over
-        # seeded targets and the edges where a check raises: the same
-        # fields bit for bit, or the same exception and message
+        # fit_prior, with its kernel inline and its records unchecked,
+        # against the same two steps written plainly with checking
+        # constructors (tests/reference_fit.py), over seeded targets and
+        # the edges where a check raises: the same fields bit for bit, or
+        # the same exception and message
         rng = random.Random(20210118)
         targets = [(mu, sigma) for mu in (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf,
                                           5e-324, 1.0)

@@ -370,11 +370,12 @@ def fit_cell(mu, sigma):
 
 def spread_targets(n=400, seed=20210117):
     """Seeded (mu, sigma) pairs over mu in [1e-160, 1e160] and sigma/mu in
-    [1e-170, 1e9], with the failing ratios 1e9 and 1e-160 and the smallest
-    subnormal sigma added, each also scaled by 2, which keeps sigma/mu
-    bit-identical."""
+    [1e-170, 1e9], with the failing ratios 1e9 and 1e-160, the smallest
+    subnormal sigma and a target whose sigma error lies a few ulps below 1 %
+    added, each also scaled by 2, which keeps sigma/mu bit-identical."""
     rng = random.Random(seed)
-    targets = [(1.0, 1e9), (1.0, 1e-160), (3.0, 3e9), (1e-100, 1e-260), (1e-170, 5e-324)]
+    targets = [(1.0, 1e9), (1.0, 1e-160), (3.0, 3e9), (1e-100, 1e-260), (1e-170, 5e-324),
+               (0.00018595105038623916, 2101.773299106711)]
     for _ in range(n):
         mu = 10.0 ** rng.uniform(-160.0, 160.0)
         targets.append((mu, mu * 10.0 ** rng.uniform(-170.0, 9.0)))
@@ -385,7 +386,7 @@ class TestShapeReuse:
     def test_one_shape_step_per_distinct_ratio(self, count_calls):
         spec = GridSpec(mu_points=48, sigma_points=48)
         ratios = {sigma / mu for mu in spec.mu_values() for sigma in spec.sigma_values(mu)}
-        calls = count_calls((validation, "_solve_shape"))
+        calls = count_calls((validation, "_shape"))
         assert len(run_grid(spec)) == 48 * 48
         assert len(ratios) == 399
         assert len(calls) == 399 and set(calls) == ratios
@@ -394,7 +395,7 @@ class TestShapeReuse:
         # an in-process pool is one worker for every row: its rows share
         # one cache, which starts empty
         monkeypatch.setattr(validation.os, "cpu_count", lambda: 2)
-        calls = count_calls((validation, "_solve_shape"))
+        calls = count_calls((validation, "_shape"))
         spec = GridSpec(mu_points=48, sigma_points=48)
         pooled = run_grid(spec, workers=2)
         assert len(calls) == 399  # one per distinct ratio, as in a serial run
@@ -402,7 +403,7 @@ class TestShapeReuse:
 
     def test_failing_ratio_solved_once(self, count_calls):
         # sigma/mu = 1e9 raises in the shape step; the cache remembers it
-        calls = count_calls((validation, "_solve_shape"))
+        calls = count_calls((validation, "_shape"))
         shapes = {}
         cells = [CellResult._make(cell) for mu in (1.0, 2.0, 4.0)
                  for cell in validation._row(mu, [1e9 * mu], shapes)]
