@@ -14,10 +14,10 @@ extrapolation of each pair of plain steps; Steffensen 1933) finds it from
 x = 1/(4 r^2). At a0 = 1 + x0 the rate solves the forward mean mu^2 = b S(a):
 b0 = mu0^2 (x + g(x)) at x = a0 - 1, which is mu0^2 / S(a0), and h0 is the
 residual of that a0. fit_prior is two private steps: _shape(r) runs the
-loop with the kernel inline and evaluates the kernel once more at a0, and
-_scale takes that shape to b0, the round trip and the 1 % verdict. A
-validation sweep calls the same two steps, solving the shape once per
-distinct r, so each of its cells is fit_prior(mu, sigma).
+loop on distributions._g, the one copy of the kernel, and evaluates it once
+more at a0, and _scale takes that shape to b0, the round trip and the 1 %
+verdict. A validation sweep calls the same two steps, solving the shape
+once per distinct r, so each of its cells is fit_prior(mu, sigma).
 """
 
 # no postponed annotations: each named-tuple field's would compile to a ForwardRef
@@ -143,15 +143,7 @@ def _shape(r: float) -> tuple[float, float, float, float, int, bool]:
 
     x, anchor, solved = 0.25 / r2, None, False
     for evals in range(1, _MAX_ITER + 2):
-        # x1 = _g(x) / r2, with _g's two branches in its own order
-        if x < 10.0:
-            x1 = (math.exp(2.0 * (math.lgamma(x + 1.0) - math.lgamma(x + 0.5))) - x) / r2
-        else:
-            y = 1.0 / x
-            z = y * y
-            x1 = x * math.expm1(2.0 * (y * (1 / 8 + z * (-1 / 192 + z * (1 / 640 + z * (
-                -17 / 14336 + z * (31 / 18432 + z * (-691 / 180224 + z * (
-                    5461 / 425984 + z * (-929569 / 15728640)))))))))) / r2
+        x1 = _g(x) / r2
         if abs(x1 - x) <= _STEP_TOL * x1:
             x, solved = x1, True
             break
@@ -168,10 +160,7 @@ def _shape(r: float) -> tuple[float, float, float, float, int, bool]:
             f"(sigma0/mu0 = {r:g} is too large)"
         )
     a0 = 1.0 + x
-    x = a0 - 1.0
-    g = _g(x)
-    c = x + g
-    return a0, c, math.sqrt(c), math.sqrt(g / x), evals, solved
+    return (a0, *_sd_shape_factors(a0), evals, solved)
 
 
 def _scale(mu0: float, sigma0: float, shape: tuple) -> tuple:
@@ -211,10 +200,7 @@ def fit_prior(mu0: float, sigma0: float) -> FitResult:
     are built without re-running their field checks, which are guarded
     where they can fail.
     """
-    if not (math.isfinite(mu0) and mu0 > 0.0):
-        raise ValueError(f"mu0 must be finite and > 0, got {mu0}")
-    if not (math.isfinite(sigma0) and sigma0 > 0.0):
-        raise ValueError(f"sigma0 must be finite and > 0, got {sigma0}")
+    _validate_targets(mu0, sigma0)
     r = sigma0 / mu0
     _, _, _, cv, evals, _ = shape = _shape(r)
     a0, b0, mu_rt, sigma_rt, rel_mu, rel_sigma, converged = _scale(mu0, sigma0, shape)

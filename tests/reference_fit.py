@@ -1,9 +1,8 @@
 """fit_prior as two steps, a shape step on r = sigma0/mu0 alone and a scale
 step from the targets, each record built by its checking constructor: the
-reference that elicitation.fit_prior, with its kernel inline and its records
-built unchecked, must equal bit for bit, exception for exception. It
-evaluates the kernel through distributions._g, so it also ties the copy of
-_g inlined in elicitation._shape's loop to _g itself.
+reference that elicitation.fit_prior, with its records built unchecked,
+must equal bit for bit, exception for exception. Both evaluate the kernel
+through distributions._g.
 """
 
 import math

@@ -186,6 +186,14 @@ class TestPdf:
         assert xs[0] == float(x0) and xs[-1] == float(x1)
         assert xs == sorted(xs)
 
+    def test_exponent_form_negative_from(self, capsys):
+        # argparse reads a bare "-1e-3" as an option, so the README gives
+        # the "--from=" form for an exponent-form negative
+        code = run(["pdf", "--dist", "precision", "--a", "2", "--b", "2",
+                    "--from=-1e-3", "--to", "1", "--points", "2"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1] == "-0.001,0"
+
     def test_bad_range(self, capsys):
         code = run(
             ["pdf", "--dist", "sd", "--a", "2", "--b", "2",

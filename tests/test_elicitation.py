@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 import struct
 
 import mpmath
@@ -19,7 +20,7 @@ from gammasd import (
     sd_moments,
     upper_bound_a,
 )
-from gammasd import elicitation
+from gammasd import distributions, elicitation
 from mp_oracle import a0_root as mp_a0_root, sd_moments as mp_sd_moments
 import reference_fit
 
@@ -257,16 +258,22 @@ class TestFitPrior:
         # Every gamma ratio is one evaluation of the kernel g: two
         # math.lgamma calls below x = 10, one math.expm1 call above. The
         # solve evaluates it iterations + 1 times, and once more at the
-        # returned a0 for b0, the round trip and h0. Over sigma/mu in
-        # [1e-4, 1.7e4] at most six evaluations are needed.
+        # returned a0 for b0, the round trip and h0. Each goes through _g,
+        # the one copy of the kernel. Over sigma/mu in [1e-4, 1.7e4] the
+        # solve needs a median of three evaluations and at most six.
         evals = kernel_evaluations(count_calls)
+        g_calls = count_calls((elicitation, "_g"), (distributions, "_g"))
         n = 200
+        solve_evals = []
         for i in range(n):
             ratio = 1e-4 * (1.7e4 / 1e-4) ** (i / (n - 1))
             fit = fit_prior(1.0, ratio)
             assert fit.converged, ratio
-            assert evals() == (fit.iterations + 1) + 1, ratio
+            assert len(g_calls) == evals() == (fit.iterations + 1) + 1, ratio
+            g_calls.clear()
             assert fit.iterations + 1 <= 6, ratio
+            solve_evals.append(fit.iterations + 1)
+        assert statistics.median(solve_evals) == 3
 
     def test_every_call_solves(self, count_calls):
         # fit_prior keeps no memo: two identical calls cost twice the
@@ -279,11 +286,11 @@ class TestFitPrior:
         assert one > 0 and evals() == 2 * one
 
     def test_equals_two_step_reference(self):
-        # fit_prior, with its kernel inline and its records unchecked,
-        # against the same two steps written plainly with checking
-        # constructors (tests/reference_fit.py), over seeded targets and
-        # the edges where a check raises: the same fields bit for bit, or
-        # the same exception and message
+        # fit_prior, with its records unchecked, against the same two
+        # steps written plainly with checking constructors
+        # (tests/reference_fit.py), over seeded targets and the edges
+        # where a check raises: the same fields bit for bit, or the same
+        # exception and message
         rng = random.Random(20210118)
         targets = [(mu, sigma) for mu in (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf,
                                           5e-324, 1.0)
